@@ -1,22 +1,20 @@
-"""Cohort stability experiment: subsample agreement across many pitchers.
+"""Text histograms of cohort stability from `pitchmbc batch` output.
 
-For each synthetic pitcher, selects k, runs the 80%/20% stability protocol,
-and collects the per-pitcher mean agreements. The output CSV holds the raw
-values behind the two histograms (one per subset size); a coarse text
-histogram is printed so the shape is visible without a plotting stack.
+Reads the stability_agreements.csv that `pitchmbc batch` writes (one row
+per pitcher: mean agreement on the 80% and on the 20% subsets) and prints
+one coarse text histogram per subset size, so the shape is visible without
+a plotting stack:
+
+    python scripts/make_synthetic_data.py --outdir demo_data
+    pitchmbc batch --input demo_data/demo_cohort.csv --outdir batch_out --reps 20
+    python scripts/stability_histograms.py batch_out/stability_agreements.csv
 """
 
 import argparse
 import csv
-import time
-from pathlib import Path
+import sys
 
 import numpy as np
-
-from pitchmbc.mixture import EmConfig
-from pitchmbc.selection import SelectionConfig, select_k
-from pitchmbc.stability import stability_run
-from pitchmbc.synth import archetype_pitcher
 
 
 def text_histogram(values, label, lo=0.5, hi=1.0, bins=10, width=40):
@@ -30,47 +28,21 @@ def text_histogram(values, label, lo=0.5, hi=1.0, bins=10, width=40):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pitchers", type=int, default=40)
-    parser.add_argument("--n", type=int, default=150, help="pitches per pitcher")
-    parser.add_argument("--reps", type=int, default=20)
-    parser.add_argument("--split", type=float, default=0.8)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="stability_histograms.csv")
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("agreements", help="stability_agreements.csv from pitchmbc batch")
     args = parser.parse_args()
 
-    em = EmConfig(restarts=5, max_iter=300, tol=1e-7)
-    rows = []
-    t0 = time.perf_counter()
-    for i in range(args.pitchers):
-        seed = args.seed + i
-        ds, _, _ = archetype_pitcher(args.n, seed=seed, pitcher_id=f"pitcher{i:03d}")
-        kmax = min(8, ds.n // 4)
-        chosen = select_k(ds, 1, kmax, SelectionConfig(em=EmConfig(
-            seed=seed, restarts=em.restarts, max_iter=em.max_iter, tol=em.tol))).best.k
-        report = stability_run(ds, chosen, split=args.split, replications=args.reps,
-                               seed=seed, em_config=em)
-        rows.append((report.pitcher_id, ds.n, chosen, report.mean_80, report.mean_20,
-                     report.stderr_80, report.stderr_20, len(report.failures)))
-        print(f"{report.pitcher_id}: k={chosen} mean_80={report.mean_80:.3f} "
-              f"mean_20={report.mean_20:.3f}")
-
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pitcher_id", "n", "k", "agreement_80", "agreement_20",
-                         "stderr_80", "stderr_20", "failed_replications"])
-        writer.writerows(rows)
-
-    a80 = [r[3] for r in rows]
-    a20 = [r[4] for r in rows]
+    with open(args.agreements, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        sys.exit(f"{args.agreements}: no pitcher rows (was batch run with --reps 0?)")
+    a80 = np.array([float(r["agreement_80"]) for r in rows])
+    a20 = np.array([float(r["agreement_20"]) for r in rows])
     text_histogram(a80, "80% subset agreement")
     text_histogram(a20, "20% subset agreement")
-    frac80 = np.mean(np.asarray(a80) >= 0.8)
-    frac20 = np.mean(np.asarray(a20) >= 0.8)
-    print(f"\npitchers with >= 80% agreement: {frac80:.0%} (80% subset), "
-          f"{frac20:.0%} (20% subset)")
-    print(f"raw data -> {out}  [{time.perf_counter() - t0:.1f}s]")
+    print(f"\npitchers with >= 80% agreement: {np.mean(a80 >= 0.8):.0%} (80% subset), "
+          f"{np.mean(a20 >= 0.8):.0%} (20% subset)")
 
 
 if __name__ == "__main__":

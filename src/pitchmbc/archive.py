@@ -10,7 +10,7 @@ recomputable from the components and the data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ArchiveError, ArchiveVersionMismatch
@@ -46,16 +46,9 @@ class ModelArchive:
 def archive_from_results(pitcher_id: str, labeled: LabeledModel,
                          selection: SelectionResult,
                          config: dict | None = None) -> ModelArchive:
-    fit = labeled.fit
-    slim = FittedMixture(
-        components=fit.components, k=fit.k, log_likelihood=fit.log_likelihood,
-        iterations=fit.iterations, converged=fit.converged,
-        responsibilities=None, seed=fit.seed, ll_trace=fit.ll_trace,
-        ll_decrease_max=fit.ll_decrease_max,
-    )
     return ModelArchive(
         pitcher_id=pitcher_id,
-        fit=slim,
+        fit=replace(labeled.fit, responsibilities=None),
         labels=labeled.labels,
         anchor_index=labeled.anchor_index,
         rule_trace=labeled.rule_trace,
@@ -73,18 +66,6 @@ def _component_to_dict(comp: MixtureComponent) -> dict:
         "stddev": [float(v) for v in comp.stddev],
         "correlation": [[float(v) for v in row] for row in comp.correlation],
         "weight": float(comp.weight),
-    }
-
-
-def _score_to_dict(score: CriterionScore) -> dict:
-    return {
-        "k": score.k,
-        "log_likelihood": score.log_likelihood,
-        "bic": score.bic,
-        "correlation_penalty": score.correlation_penalty,
-        "bic_adj": score.bic_adj,
-        "penalty_scale": score.penalty_scale,
-        "converged": score.converged,
     }
 
 
@@ -107,7 +88,7 @@ def archive_to_json(archive: ModelArchive) -> str:
         "labels": [str(label) for label in archive.labels],
         "anchor_index": archive.anchor_index,
         "rule_trace": [list(trace) for trace in archive.rule_trace],
-        "score_table": [_score_to_dict(s) for s in archive.score_table],
+        "score_table": [asdict(s) for s in archive.score_table],
         "selection_failures": [[k, reason] for k, reason in archive.selection_failures],
         "config": archive.config,
     }

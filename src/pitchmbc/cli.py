@@ -9,19 +9,21 @@ failures: 2 usage (argparse), 3 I/O, 4 validation, 5 fit failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .archive import archive_from_results, load_archive, save_archive
 from .errors import ArchiveError, FitError, IngestError
-from .ingest import DEFAULT_SCHEMA, filter_pitches, parse_pitch_csv
+from .ingest import DEFAULT_SCHEMA, ColumnSchema, filter_pitches, parse_pitch_csv
 from .labeling import (LabelConfig, classify_dataset, confusion_counts,
                        format_confusion, label_clusters, write_labeled_csv)
-from .mixture import EmConfig
+from .mixture import EmConfig, fit_em
 from .plotting import cluster_colors, projection_svg, write_plot_csv
 from .selection import SelectionConfig, select_k, write_score_csv
-from .stability import stability_run, write_stability_csv
+from .stability import check_split, stability_run, write_stability_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,6 +31,9 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_FIT = 5
 EXIT_ARCHIVE = 6
+
+_SUMMARY_FIELDS = ("pitcher_id", "n", "k", "labels", "mean_80", "stderr_80",
+                  "mean_20", "stderr_20", "status")
 
 
 def _add_input_options(parser):
@@ -40,12 +45,15 @@ def _add_input_options(parser):
     parser.add_argument("--pitcher", help="restrict a multi-pitcher file to one pitcher_id")
 
 
+def _add_field_options(parser, config_cls, helps=None):
+    """One --flag-name per field of ``config_cls``, typed like the field's default."""
+    for f in fields(config_cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=None, help=(helps or {}).get(f.name))
+
+
 def _add_em_options(parser):
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--ridge", type=float, default=None)
+    _add_field_options(parser, EmConfig, {"seed": "random seed (default 0)"})
 
 
 def _add_selection_options(parser):
@@ -57,11 +65,7 @@ def _add_selection_options(parser):
 
 
 def _add_label_options(parser):
-    parser.add_argument("--changeup-speed-gap", type=float, default=None)
-    parser.add_argument("--sidespin-band", type=float, default=None)
-    parser.add_argument("--cutter-speed-gap", type=float, default=None)
-    parser.add_argument("--knuckleball-spin-var-ratio", type=float, default=None)
-    parser.add_argument("--curveball-backspin-max", type=float, default=None)
+    _add_field_options(parser, LabelConfig)
     parser.add_argument("--swap-anchor", type=int, default=None,
                         help="force this component index to be the four-seam anchor")
 
@@ -122,10 +126,25 @@ def _load_config_file(args) -> dict:
     return json.loads(Path(args.config).read_text(encoding="utf-8"))
 
 
+def _checked(where: str, values: dict, known) -> dict:
+    """``values`` unchanged; a key outside ``known`` is an error naming that key."""
+    unknown = sorted(set(values) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)} "
+                         f"(known: {', '.join(known)})")
+    return values
+
+
+def _section(cfg: dict, name: str, known) -> dict:
+    return _checked(f"config section {name!r}", cfg.get(name, {}), known)
+
+
+def _field_names(config_cls) -> list[str]:
+    return [f.name for f in fields(config_cls)]
+
+
 def _schema_from(args, cfg: dict):
-    section = dict(cfg.get("schema", {}))
-    delimiter = section.pop("delimiter", None)
-    schema = DEFAULT_SCHEMA.with_overrides(section or None, delimiter)
+    schema = replace(DEFAULT_SCHEMA, **_section(cfg, "schema", _field_names(ColumnSchema)))
     mapping = {}
     if getattr(args, "columns", None):
         for pair in args.columns.split(","):
@@ -133,46 +152,21 @@ def _schema_from(args, cfg: dict):
             if not physical:
                 raise ValueError(f"bad --columns entry {pair!r} (want logical=physical)")
             mapping[logical.strip()] = physical.strip()
+    _checked("--columns", mapping, _field_names(ColumnSchema))
     return schema.with_overrides(mapping or None, getattr(args, "delimiter", None))
 
 
-def _pick(args, cfg_section: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg_section.get(name, default)
-
-
-def _em_from(args, cfg: dict) -> EmConfig:
-    section = cfg.get("em", {})
-    base = EmConfig()
-    return EmConfig(
-        seed=_pick(args, section, "seed", base.seed),
-        restarts=_pick(args, section, "restarts", base.restarts),
-        max_iter=_pick(args, section, "max_iter", base.max_iter),
-        tol=_pick(args, section, "tol", base.tol),
-        ridge=_pick(args, section, "ridge", base.ridge),
-    )
-
-
-def _labels_from(args, cfg: dict) -> LabelConfig:
-    section = cfg.get("labels", {})
-    base = LabelConfig()
-    return LabelConfig(
-        changeup_speed_gap=_pick(args, section, "changeup_speed_gap", base.changeup_speed_gap),
-        sidespin_band=_pick(args, section, "sidespin_band", base.sidespin_band),
-        cutter_speed_gap=_pick(args, section, "cutter_speed_gap", base.cutter_speed_gap),
-        knuckleball_spin_var_ratio=_pick(args, section, "knuckleball_spin_var_ratio",
-                                         base.knuckleball_spin_var_ratio),
-        curveball_backspin_max=_pick(args, section, "curveball_backspin_max",
-                                     base.curveball_backspin_max),
-    )
+def _config_from(config_cls, name: str, args, cfg: dict):
+    """``config_cls`` from its config-file section, each set flag taking precedence."""
+    names = _field_names(config_cls)
+    flags = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
+    return config_cls(**{**_section(cfg, name, names), **flags})
 
 
 def _selection_from(args, cfg: dict, em: EmConfig) -> SelectionConfig:
-    section = cfg.get("selection", {})
-    criterion = _pick(args, section, "criterion", "bicadj")
-    raw_scale = getattr(args, "penalty_scale", None)
+    section = _section(cfg, "selection", ["criterion", "penalty_scale"])
+    criterion = args.criterion or section.get("criterion", "bicadj")
+    raw_scale = args.penalty_scale
     if raw_scale is None:
         raw_scale = section.get("penalty_scale", "auto")
     scale = None if str(raw_scale).lower() == "auto" else float(raw_scale)
@@ -192,52 +186,48 @@ def _load_dataset(args, schema, single_pitcher: bool):
     return dataset
 
 
-def _config_snapshot(schema, em, selection=None, labels=None) -> dict:
-    snap = {
-        "schema": {k: getattr(schema, k) for k in
-                   ("pitcher_id", "season", "start_speed", "back_spin", "side_spin",
-                    "reference_label", "intentional", "delimiter")},
-        "em": {"seed": em.seed, "restarts": em.restarts, "max_iter": em.max_iter,
-               "tol": em.tol, "ridge": em.ridge},
-    }
-    if selection is not None:
-        snap["selection"] = {"criterion": selection.criterion,
-                             "penalty_scale": selection.penalty_scale}
-    if labels is not None:
-        snap["labels"] = {
-            "changeup_speed_gap": labels.changeup_speed_gap,
-            "sidespin_band": labels.sidespin_band,
-            "cutter_speed_gap": labels.cutter_speed_gap,
-            "knuckleball_spin_var_ratio": labels.knuckleball_spin_var_ratio,
-            "curveball_backspin_max": labels.curveball_backspin_max,
-        }
-    return snap
+def _fit_settings(args) -> tuple[ColumnSchema, SelectionConfig, LabelConfig]:
+    """Schema, selection (which carries the EM config) and labels for fit and batch."""
+    cfg = _load_config_file(args)
+    em = _config_from(EmConfig, "em", args, cfg)
+    return (_schema_from(args, cfg), _selection_from(args, cfg, em),
+            _config_from(LabelConfig, "labels", args, cfg))
+
+
+def _fit_pitcher(args, data, kmax: int, settings, archive_path, scores_path):
+    """Select k, label the winner, write its archive and score table."""
+    schema, sel_cfg, label_cfg = settings
+    result = select_k(data, args.kmin, kmax, sel_cfg)
+    labeled = label_clusters(result.best, label_cfg, anchor_override=args.swap_anchor)
+    config = {"schema": asdict(schema), "selection": asdict(sel_cfg), "labels": asdict(label_cfg)}
+    config["em"] = config["selection"].pop("em")
+    save_archive(archive_from_results(data.single_pitcher_id(), labeled, result, config),
+                 archive_path)
+    write_score_csv(result, scores_path)
+    return result, labeled
+
+
+def _classify_input(args):
+    """The saved model, the filtered input, and (index, type, max posterior) per pitch."""
+    archive = load_archive(args.model)
+    schema = _schema_from(args, _load_config_file(args))
+    filtered = filter_pitches(_load_dataset(args, schema, single_pitcher=False))
+    model = archive.labeled_model()
+    return model, filtered, classify_dataset(model, filtered)
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config_file(args)
-    schema = _schema_from(args, cfg)
-    em = _em_from(args, cfg)
-    label_cfg = _labels_from(args, cfg)
+    settings = _fit_settings(args)
+    schema, _, _ = settings
     dataset = _load_dataset(args, schema, single_pitcher=True)
-    pitcher_id = dataset.single_pitcher_id()
     filtered = filter_pitches(dataset)
     if filtered.removed_intentional:
         print(f"filtered {filtered.removed_intentional} intentional balls", file=sys.stderr)
 
-    sel_cfg = _selection_from(args, cfg, em)
-    result = select_k(filtered, args.kmin, args.kmax, sel_cfg)
-    labeled = label_clusters(result.best, label_cfg, anchor_override=args.swap_anchor)
-
-    archive = archive_from_results(
-        pitcher_id, labeled, result,
-        _config_snapshot(schema, em, sel_cfg, label_cfg),
-    )
-    save_archive(archive, args.out)
     scores_out = args.scores_out or str(Path(args.out).with_suffix("")) + "_scores.csv"
-    write_score_csv(result, scores_out)
+    result, labeled = _fit_pitcher(args, filtered, args.kmax, settings, args.out, scores_out)
 
-    print(f"pitcher {pitcher_id}: n={filtered.n}, selected k={result.best.k} "
+    print(f"pitcher {filtered.single_pitcher_id()}: n={filtered.n}, selected k={result.best.k} "
           f"by {result.criterion} (penalty_scale={result.penalty_scale:g})")
     for idx, (comp, label) in enumerate(zip(result.best.components, labeled.labels)):
         marker = " (anchor)" if idx == labeled.anchor_index else ""
@@ -248,13 +238,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    archive = load_archive(args.model)
-    cfg = _load_config_file(args)
-    schema = _schema_from(args, cfg)
-    dataset = _load_dataset(args, schema, single_pitcher=False)
-    filtered = filter_pitches(dataset)
-    model = archive.labeled_model()
-    idx, types, pmax = classify_dataset(model, filtered)
+    _, filtered, (idx, types, pmax) = _classify_input(args)
     refs = [rec.reference_label for rec in filtered.records]
     write_labeled_csv(args.out, idx, types, pmax, refs)
     print(f"classified {filtered.n} pitches -> {args.out}")
@@ -268,10 +252,11 @@ def cmd_classify(args) -> int:
 def cmd_stability(args) -> int:
     cfg = _load_config_file(args)
     schema = _schema_from(args, cfg)
-    em = _em_from(args, cfg)
+    em = _config_from(EmConfig, "em", args, cfg)
     dataset = _load_dataset(args, schema, single_pitcher=True)
     filtered = filter_pitches(dataset)
-    report = stability_run(filtered, args.k, split=args.split,
+    check_split(filtered.n, args.k, args.split, args.reps)
+    report = stability_run(filtered, fit_em(filtered, args.k, em), split=args.split,
                            replications=args.reps, seed=em.seed, em_config=em)
     write_stability_csv(report, args.out)
     print(f"pitcher {report.pitcher_id}: k={report.k}, "
@@ -283,13 +268,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    archive = load_archive(args.model)
-    cfg = _load_config_file(args)
-    schema = _schema_from(args, cfg)
-    dataset = _load_dataset(args, schema, single_pitcher=False)
-    filtered = filter_pitches(dataset)
-    model = archive.labeled_model()
-    idx, types, _ = classify_dataset(model, filtered)
+    model, filtered, (idx, types, _) = _classify_input(args)
     per_cluster = cluster_colors(model.labels)
     colors = [per_cluster[i] for i in idx]
     X = filtered.to_matrix()
@@ -309,11 +288,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    cfg = _load_config_file(args)
-    schema = _schema_from(args, cfg)
-    em = _em_from(args, cfg)
-    label_cfg = _labels_from(args, cfg)
-    sel_cfg = _selection_from(args, cfg, em)
+    settings = _fit_settings(args)
+    schema, sel_cfg, _ = settings
     dataset = parse_pitch_csv(args.input, schema)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -322,28 +298,23 @@ def cmd_batch(args) -> int:
     per_pitcher = dataset.split_by_pitcher()
     for pitcher_id in sorted(per_pitcher):
         sub = per_pitcher[pitcher_id]
-        row = {"pitcher_id": pitcher_id, "n": "", "k": "", "labels": "",
-               "mean_80": "", "stderr_80": "", "mean_20": "", "stderr_20": "",
-               "status": "ok"}
+        row = dict(dict.fromkeys(_SUMMARY_FIELDS, ""), pitcher_id=pitcher_id, status="ok")
         try:
             filtered = filter_pitches(sub)
             kmax = min(args.kmax, filtered.n // 4)
             if kmax < args.kmin:
                 raise FitError(f"n={filtered.n} too small for kmin={args.kmin}")
-            result = select_k(filtered, args.kmin, kmax, sel_cfg)
-            labeled = label_clusters(result.best, label_cfg, anchor_override=args.swap_anchor)
-            archive = archive_from_results(
-                pitcher_id, labeled, result,
-                _config_snapshot(schema, em, sel_cfg, label_cfg),
-            )
-            save_archive(archive, outdir / f"{pitcher_id}.json")
-            write_score_csv(result, outdir / f"{pitcher_id}_scores.csv")
+            result, labeled = _fit_pitcher(args, filtered, kmax, settings,
+                                           outdir / f"{pitcher_id}.json",
+                                           outdir / f"{pitcher_id}_scores.csv")
             row["n"] = filtered.n
             row["k"] = result.best.k
             row["labels"] = ";".join(str(lb) for lb in labeled.labels)
             if args.reps > 0:
-                report = stability_run(filtered, result.best.k, split=args.split,
-                                       replications=args.reps, seed=em.seed, em_config=em)
+                # stability is measured against the clustering the archive reports
+                report = stability_run(filtered, result.best, split=args.split,
+                                       replications=args.reps, seed=sel_cfg.em.seed,
+                                       em_config=sel_cfg.em)
                 write_stability_csv(report, outdir / f"{pitcher_id}_stability.csv")
                 row.update(mean_80=repr(report.mean_80), stderr_80=repr(report.stderr_80),
                            mean_20=repr(report.mean_20), stderr_20=repr(report.stderr_20))
@@ -353,16 +324,13 @@ def cmd_batch(args) -> int:
             print(f"{pitcher_id}: skipped ({exc})", file=sys.stderr)
         summary_rows.append(row)
 
-    import csv as _csv
-    fields = ["pitcher_id", "n", "k", "labels", "mean_80", "stderr_80",
-              "mean_20", "stderr_20", "status"]
     with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(summary_rows)
     # raw per-pitcher agreement means, one row each, for the two stability histograms
     with open(outdir / "stability_agreements.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pitcher_id", "agreement_80", "agreement_20"])
         for row in summary_rows:
             if row["status"] == "ok" and row["mean_80"] != "":

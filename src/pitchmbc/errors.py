@@ -60,7 +60,7 @@ class NoViableK(FitError):
 
 
 class DimensionMismatch(PitchMbcError):
-    """Two assignment vectors do not describe the same points."""
+    """Two assignments, or a fit and its data, do not describe the same points."""
 
 
 class ArchiveError(PitchMbcError):

@@ -121,8 +121,7 @@ def _label_one(comp: MixtureComponent, anchor: MixtureComponent,
         return (PitchType.TWO_SEAM if two_seam else PitchType.SINKER), trace
     trace.append("R3 two-seam/sinker: same_side=False -> no")
 
-    r4 = (not same or back <= config.curveball_backspin_max) and \
-        dspeed > config.changeup_speed_gap and back <= config.curveball_backspin_max
+    r4 = dspeed > config.changeup_speed_gap and back <= config.curveball_backspin_max
     trace.append(
         f"R4 curveball: opposite_or_topspin, dspeed={dspeed:.3f}>{config.changeup_speed_gap:g}, "
         f"back={back:.3f}<={config.curveball_backspin_max:g} -> {'fired' if r4 else 'no'}"

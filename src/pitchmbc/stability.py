@@ -1,12 +1,12 @@
 """Clustering stability under seeded subsampling.
 
-The full dataset is fitted once as the reference. Each replication splits
-the data into complementary subsets (80%/20% by default), refits each
-subset at the same fixed k, optimally aligns each subset's cluster indices
-to the reference via the confusion matrix, and records the proportion of
-points that stay in their reference cluster. Cluster indices from
-independent fits are arbitrary, so any comparison without the alignment
-step would be meaningless.
+The reference is a given full-data fit: the clustering a pitcher's archive
+reports. Each replication splits the data into complementary subsets
+(80%/20% by default), refits each subset at the reference's k, optimally
+aligns each subset's cluster indices to the reference via the confusion
+matrix, and records the proportion of points that stay in their reference
+cluster. Cluster indices from independent fits are arbitrary, so any
+comparison without the alignment step would be meaningless.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, FitError, TooFewPoints
-from .mixture import EmConfig, fit_em, _as_matrix
+from .mixture import EmConfig, FittedMixture, fit_em, _as_matrix
 
 
 def _assignment_optimum(M: np.ndarray) -> int:
@@ -132,18 +132,8 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def stability_run(data, k: int, split: float = 0.8, replications: int = 20,
-                  seed: int = 0, em_config: EmConfig | None = None) -> StabilityReport:
-    """Measure assignment stability of a fixed-k clustering under subsampling.
-
-    k is supplied fixed and never re-selected. Each replication draws a
-    seeded uniform permutation split; both parts are refit independently
-    and compared (after alignment) against the full-data reference
-    restricted to each part's points. Pure function of
-    (data, k, split, replications, seed, em_config).
-    """
-    X = _as_matrix(data)
-    n = X.shape[0]
+def check_split(n: int, k: int, split: float, replications: int) -> None:
+    """Raise unless every subset of an n-point split can be fit at k."""
     if not (0.0 < split < 1.0):
         raise ValueError("split must lie strictly between 0 and 1")
     if replications < 1:
@@ -154,13 +144,32 @@ def stability_run(data, k: int, split: float = 0.8, replications: int = 20,
         raise TooFewPoints(
             f"subsets of sizes {n_major}/{n_minor} cannot support k={k} (need {4 * k} each)"
         )
+
+
+def stability_run(data, reference: FittedMixture, split: float = 0.8, replications: int = 20,
+                  seed: int = 0, em_config: EmConfig | None = None) -> StabilityReport:
+    """Measure assignment stability of a fixed-k clustering under subsampling.
+
+    ``reference`` is the full-data fit (for example the one ``select_k``
+    chose); k is ``reference.k`` and is never re-selected. Each replication
+    draws a seeded uniform permutation split; both parts are refit
+    independently and compared (after alignment) against the reference's
+    assignments restricted to each part's points. Pure function of
+    (data, reference, split, replications, seed, em_config).
+    """
+    X = _as_matrix(data)
+    n = X.shape[0]
+    k = reference.k
+    check_split(n, k, split, replications)
+    rows = None if reference.responsibilities is None else reference.responsibilities.shape[0]
+    if rows != n:
+        raise DimensionMismatch(f"reference fit covers {rows} rows, data has {n}")
     pitcher_id = ""
     if hasattr(data, "single_pitcher_id"):
         pitcher_id = data.single_pitcher_id()
 
     base = em_config if em_config is not None else EmConfig()
-    full_fit = fit_em(X, k, replace(base, seed=seed))
-    reference = full_fit.assignments()
+    assign = reference.assignments()
 
     results: list[tuple[float, float]] = []
     failures: list[tuple[int, str]] = []
@@ -175,8 +184,8 @@ def stability_run(data, k: int, split: float = 0.8, replications: int = 20,
         except FitError as exc:
             failures.append((rep, str(exc)))
             continue
-        _, agree_major = aligned_agreement(reference[idx_major], fit_major.assignments(), k)
-        _, agree_minor = aligned_agreement(reference[idx_minor], fit_minor.assignments(), k)
+        _, agree_major = aligned_agreement(assign[idx_major], fit_major.assignments(), k)
+        _, agree_minor = aligned_agreement(assign[idx_minor], fit_minor.assignments(), k)
         results.append((agree_major, agree_minor))
 
     mean_80, stderr_80 = _mean_stderr([a for a, _ in results])

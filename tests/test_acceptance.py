@@ -9,6 +9,7 @@ needs real data and is skipped unless PITCHMBC_ZITO_CSV points at a
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ def test_criterion_07_stability_at_n100():
     passes, lows = 0, []
     for seed in range(50):
         ds, _, _ = archetype_pitcher(100, seed=seed, weights=weights)
-        rep = stability_run(ds, 5, split=0.8, replications=20, seed=seed, em_config=em)
+        rep = stability_run(ds, fit_em(ds, 5, replace(em, seed=seed)), split=0.8,
+                            replications=20, seed=seed, em_config=em)
         if rep.mean_80 >= 0.80 and rep.mean_20 >= 0.80:
             passes += 1
         else:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pitchmbc
 from pitchmbc.archive import load_archive
 from pitchmbc.cli import main
 from pitchmbc.ingest import PitchDataset, PitchRecord, parse_pitch_csv, write_pitch_csv
@@ -225,6 +228,64 @@ def test_config_file_supplies_defaults(tmp_path):
     assert archive.config["labels"]["changeup_speed_gap"] == 7.5
 
 
+def test_config_file_snapshot_in_archive(tmp_path):
+    ds, _, _ = archetype_pitcher(80, seed=3)
+    data = tmp_path / "p.csv"
+    write_pitch_csv(ds, data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema": {"intentional": "ibb"},
+        "em": {"seed": 5, "restarts": 2, "max_iter": 150, "tol": 1e-7},
+        "selection": {"criterion": "bic", "penalty_scale": 2.5},
+        "labels": {"changeup_speed_gap": 7.5},
+    }))
+    out = tmp_path / "m.json"
+    assert main(["fit", "--input", str(data), "--config", str(cfg), "--kmin", "1",
+                 "--kmax", "3", "--ridge", "1e-5", "--sidespin-band", "50",
+                 "--out", str(out)]) == 0
+    assert load_archive(out).config == {
+        "schema": {"pitcher_id": "pitcher_id", "season": "season",
+                   "start_speed": "start_speed", "back_spin": "back_spin",
+                   "side_spin": "side_spin", "reference_label": "pitch_type",
+                   "intentional": "ibb", "delimiter": ","},
+        "em": {"seed": 5, "restarts": 2, "max_iter": 150, "tol": 1e-7, "ridge": 1e-5},
+        "selection": {"criterion": "bic", "penalty_scale": 2.5},
+        "labels": {"changeup_speed_gap": 7.5, "sidespin_band": 50.0,
+                   "cutter_speed_gap": 5.0, "knuckleball_spin_var_ratio": 4.0,
+                   "curveball_backspin_max": 0.0},
+    }
+
+
+UNKNOWN_KEYS = [("em", "max_iters"), ("schema", "speed"), ("selection", "scale"),
+                ("labels", "gap")]
+
+
+@pytest.mark.parametrize("command,section,key",
+                         [(c, s, k) for c in ("fit", "batch") for s, k in UNKNOWN_KEYS]
+                         + [("stability", s, k) for s, k in UNKNOWN_KEYS[:2]])
+def test_config_unknown_key_is_validation_error(tmp_path, capsys, command, section, key):
+    ds, _, _ = archetype_pitcher(40, seed=3)
+    data = tmp_path / "p.csv"
+    write_pitch_csv(ds, data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: 5}}))
+    out = {"fit": ["--out", str(tmp_path / "m.json")],
+           "stability": ["--k", "2", "--out", str(tmp_path / "s.csv")],
+           "batch": ["--outdir", str(tmp_path / "b")]}[command]
+    code = main([command, "--input", str(data), "--config", str(cfg)] + out)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"config section '{section}'" in err and key in err
+    assert not any(tmp_path.glob("m.json")) and not (tmp_path / "b").exists()
+
+
+def test_columns_unknown_field_is_validation_error(pitcher_csv, tmp_path, capsys):
+    code = main(["fit", "--input", str(pitcher_csv), "--columns", "speed=velo",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 4
+    assert "--columns: unknown key(s) speed" in capsys.readouterr().err
+
+
 def test_pitcher_flag_and_batch(tmp_path):
     ds_a, _, _ = archetype_pitcher(150, seed=1, pitcher_id="abe")
     ds_b, _, _ = archetype_pitcher(150, seed=2, pitcher_id="zed")
@@ -256,6 +317,23 @@ def test_pitcher_flag_and_batch(tmp_path):
     assert len(hist) == 3
 
 
+def test_batch_stability_equals_stability_command(tmp_path):
+    ds_a, _, _ = archetype_pitcher(150, seed=1, pitcher_id="abe")
+    ds_b, _, _ = archetype_pitcher(200, seed=2, pitcher_id="zed")
+    path = tmp_path / "two.csv"
+    write_pitch_csv(PitchDataset(ds_a.records + ds_b.records), path)
+    outdir = tmp_path / "batch"
+    assert main(["batch", "--input", str(path), "--outdir", str(outdir), "--kmin", "1",
+                 "--kmax", "5", "--seed", "3", "--reps", "4"] + FIT_SPEED_FLAGS) == 0
+    for pitcher_id in ("abe", "zed"):
+        k = load_archive(outdir / f"{pitcher_id}.json").fit.k
+        single = tmp_path / f"{pitcher_id}_stability.csv"
+        assert main(["stability", "--input", str(path), "--pitcher", pitcher_id,
+                     "--k", str(k), "--reps", "4", "--seed", "3", "--out", str(single)]
+                    + FIT_SPEED_FLAGS) == 0
+        assert (outdir / f"{pitcher_id}_stability.csv").read_bytes() == single.read_bytes()
+
+
 def test_multi_pitcher_without_flag_is_validation_error(tmp_path, capsys):
     ds_a, _, _ = archetype_pitcher(60, seed=1, pitcher_id="a")
     ds_b, _, _ = archetype_pitcher(60, seed=2, pitcher_id="b")
@@ -267,11 +345,15 @@ def test_multi_pitcher_without_flag_is_validation_error(tmp_path, capsys):
 
 def test_module_entrypoint_subprocess(tmp_path, pitcher_csv):
     out = tmp_path / "model.json"
+    # the child imports the same pitchmbc as this process, installed or not
+    src = str(Path(pitchmbc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "pitchmbc", "fit", "--input", str(pitcher_csv),
          "--kmin", "4", "--kmax", "6", "--seed", "42", "--out", str(out)]
         + FIT_SPEED_FLAGS,
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "selected k=5" in proc.stdout
     assert out.exists()

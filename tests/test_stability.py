@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_alignment
 from pitchmbc.errors import DimensionMismatch, TooFewPoints
-from pitchmbc.mixture import EmConfig
+from pitchmbc.mixture import EmConfig, fit_em
 from pitchmbc.stability import (align_clusters, aligned_agreement, draw_split,
                                 stability_run, write_stability_csv)
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs
@@ -98,8 +99,9 @@ def test_stability_far_separated_blobs_near_perfect():
     means = [[0, 0, 0], [40, 0, 0], [0, 50, 25]]
     covs = [np.eye(3)] * 3
     X, _ = gaussian_blobs(means, covs, [300, 300, 300], seed=13)
-    report = stability_run(X, 3, split=0.8, replications=20, seed=13,
-                           em_config=EmConfig(restarts=2, max_iter=200))
+    em = EmConfig(restarts=2, max_iter=200)
+    report = stability_run(X, fit_em(X, 3, replace(em, seed=13)), split=0.8, replications=20,
+                           seed=13, em_config=em)
     assert report.mean_80 >= 0.99
     assert report.mean_20 >= 0.99
     assert report.failures == ()
@@ -110,15 +112,17 @@ def test_stability_deterministic_rerun():
     ds, _, _ = archetype_pitcher(120, seed=3)
     kwargs = dict(split=0.8, replications=5, seed=11,
                   em_config=EmConfig(restarts=2, max_iter=200))
-    a = stability_run(ds, 4, **kwargs)
-    b = stability_run(ds, 4, **kwargs)
+    reference = fit_em(ds, 4, replace(kwargs["em_config"], seed=11))
+    a = stability_run(ds, reference, **kwargs)
+    b = stability_run(ds, reference, **kwargs)
     assert a == b
 
 
 def test_stability_mean_and_stderr_formulas():
     ds, _, _ = archetype_pitcher(120, seed=5)
-    report = stability_run(ds, 3, split=0.8, replications=8, seed=2,
-                           em_config=EmConfig(restarts=2, max_iter=200))
+    em = EmConfig(restarts=2, max_iter=200)
+    report = stability_run(ds, fit_em(ds, 3, replace(em, seed=2)), split=0.8, replications=8,
+                           seed=2, em_config=em)
     a80 = np.array([a for a, _ in report.per_replication])
     a20 = np.array([b for _, b in report.per_replication])
     assert report.mean_80 == pytest.approx(a80.mean(), abs=1e-12)
@@ -132,8 +136,9 @@ def test_stability_records_failed_replications():
     rng = np.random.default_rng(0)
     base = np.array([90.0, 10.0, -5.0])
     X = np.vstack([np.tile(base, (32, 1)), base + rng.standard_normal((8, 3)) * 0.01])
-    report = stability_run(X, 2, split=0.8, replications=6, seed=0,
-                           em_config=EmConfig(restarts=2, max_iter=100))
+    em = EmConfig(restarts=2, max_iter=100)
+    report = stability_run(X, fit_em(X, 2, replace(em, seed=0)), split=0.8, replications=6,
+                           seed=0, em_config=em)
     assert len(report.failures) == 5
     assert len(report.per_replication) == 1
     assert len(report.per_replication) + len(report.failures) == report.replications
@@ -145,28 +150,41 @@ def test_stability_records_failed_replications():
 def test_stability_too_few_points():
     X = np.random.default_rng(1).standard_normal((30, 3)) * 5
     with pytest.raises(TooFewPoints):
-        stability_run(X, 2, split=0.8, replications=3, seed=0)  # minor side has 6 < 8
+        # minor side has 6 < 8
+        stability_run(X, fit_em(X, 2, EmConfig(seed=0)), split=0.8, replications=3, seed=0)
 
 
 def test_stability_validates_arguments():
     X = np.random.default_rng(1).standard_normal((100, 3))
+    reference = fit_em(X, 2, EmConfig(seed=0))
     with pytest.raises(ValueError):
-        stability_run(X, 2, split=1.0)
+        stability_run(X, reference, split=1.0)
     with pytest.raises(ValueError):
-        stability_run(X, 2, replications=0)
+        stability_run(X, reference, replications=0)
 
 
 def test_stability_pitcher_id_from_dataset():
     ds, _, _ = archetype_pitcher(120, seed=6, pitcher_id="wakefield")
-    report = stability_run(ds, 2, split=0.8, replications=2, seed=1,
-                           em_config=EmConfig(restarts=2, max_iter=100))
+    em = EmConfig(restarts=2, max_iter=100)
+    report = stability_run(ds, fit_em(ds, 2, replace(em, seed=1)), split=0.8, replications=2,
+                           seed=1, em_config=em)
     assert report.pitcher_id == "wakefield"
+
+
+def test_stability_reference_must_cover_the_data():
+    X = np.random.default_rng(4).standard_normal((100, 3))
+    reference = fit_em(X[:60], 2, EmConfig(seed=0))
+    with pytest.raises(DimensionMismatch):
+        stability_run(X, reference, replications=2)
+    with pytest.raises(DimensionMismatch):  # archived fits carry no responsibilities
+        stability_run(X[:60], replace(reference, responsibilities=None), replications=2)
 
 
 def test_stability_csv_rows():
     ds, _, _ = archetype_pitcher(120, seed=7)
-    report = stability_run(ds, 3, split=0.8, replications=4, seed=3,
-                           em_config=EmConfig(restarts=2, max_iter=200))
+    em = EmConfig(restarts=2, max_iter=200)
+    report = stability_run(ds, fit_em(ds, 3, replace(em, seed=3)), split=0.8, replications=4,
+                           seed=3, em_config=em)
     buf = io.StringIO()
     write_stability_csv(report, buf)
     lines = buf.getvalue().strip().splitlines()
