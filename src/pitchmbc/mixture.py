@@ -11,6 +11,13 @@ the determinant of a covariance directly. The EM inner loop works on packed
 are built once per fit. Fits are deterministic functions of
 (data, k, config): every restart derives its generator from
 (config.seed, restart_index).
+
+Restarts follow a two-phase short-EM schedule (Biernacki, Celeux & Govaert
+2003, CSDA 41): all restarts run SHORT_ITER iterations, then only the one
+with the highest log-likelihood runs on to convergence. One loop,
+``_iterate``, serves both phases, so the winner simply resumes its own
+state. Losing restarts above the true k would otherwise spend most of the
+fit time in slow convergence tails.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import numpy as np
 from .errors import AllRestartsDegenerate, EmptyCluster, SingularCovariance, TooFewPoints
 
 LOG_2PI = math.log(2.0 * math.pi)
+# iterations every restart runs before only the best one continues
+SHORT_ITER = 20
 
 
 def param_count(k: int) -> int:
@@ -309,41 +318,50 @@ def _rel_scale(ll: float) -> float:
     return abs(ll) if ll != 0.0 else 1.0
 
 
-def _fit_single_start(X: np.ndarray, k: int, config: EmConfig, restart: int,
-                      xx: np.ndarray | None = None):
-    rng = np.random.default_rng([config.seed, restart])
-    if xx is None:
-        xx = _xx_features(X)
-    weights, means, covs = _init_params(X, k, rng, config.ridge)
-    trace: list[float] = []
-    prev: float | None = None
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iter):
-        resp, ll = _e_core(weights, means, covs, X)
-        trace.append(ll)
-        if prev is not None and (ll - prev) <= config.tol * _rel_scale(prev):
-            converged = True
-            break
-        prev = ll
-        weights, means, covs = _m_core(X, resp, config.ridge, xx)
-        iterations += 1
-    else:
-        # max_iter M-steps done; refresh so resp/ll describe the final params
-        resp, ll = _e_core(weights, means, covs, X)
-        trace.append(ll)
-    decrease = 0.0
-    for a, b in zip(trace, trace[1:]):
-        decrease = max(decrease, a - b)
-    return (weights, means, covs), resp, ll, iterations, converged, tuple(trace), decrease
+@dataclass(eq=False)
+class _Restart:
+    """EM state of one restart; ``resp`` and ``ll`` always describe ``params``."""
+
+    index: int
+    params: tuple[np.ndarray, np.ndarray, np.ndarray]
+    resp: np.ndarray
+    ll: float
+    trace: list[float]
+    iterations: int = 0
+    converged: bool = False
+    decrease: float = 0.0
+
+
+def _iterate(X: np.ndarray, xx: np.ndarray, run: _Restart, config: EmConfig,
+             until: int) -> None:
+    """Advance ``run`` by M-step/E-step pairs until it converges or has made
+    ``until`` iterations in total.
+
+    Converged means the log-likelihood gained no more than ``tol`` relative
+    to the previous E-step. ``run.decrease`` tracks the largest drop between
+    consecutive E-steps.
+    """
+    while not run.converged and run.iterations < until:
+        params = _m_core(X, run.resp, config.ridge, xx)
+        resp, ll = _e_core(*params, X)
+        run.trace.append(ll)
+        run.decrease = max(run.decrease, run.ll - ll)
+        run.converged = (ll - run.ll) <= config.tol * _rel_scale(run.ll)
+        run.params, run.resp, run.ll = params, resp, ll
+        run.iterations += 1
 
 
 def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     """Fit a k-component mixture by EM with seeded restarts.
 
-    Runs ``config.restarts`` independent initializations and keeps the one
-    with the highest final log-likelihood. Deterministic given
-    (data, k, config.seed). Raises :class:`TooFewPoints` when n < 4k and
+    Short-EM schedule (Biernacki, Celeux & Govaert 2003): every one of
+    ``config.restarts`` initializations runs ``min(SHORT_ITER,
+    config.max_iter)`` iterations; then only the restart with the highest
+    log-likelihood at that point (ties to the lower restart index) continues
+    to convergence or ``config.max_iter`` iterations in total. If that
+    restart hits an empty cluster or a singular covariance, the next best
+    one continues instead. Deterministic given (data, k, config.seed).
+    Raises :class:`TooFewPoints` when n < 4k and
     :class:`AllRestartsDegenerate` when every restart hit an empty cluster
     or a singular covariance.
     """
@@ -358,31 +376,41 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     shift = X.mean(axis=0)
     Xc = X - shift
     xx = _xx_features(Xc)
-    best = None
+    restarts = max(1, config.restarts)
+    runs: list[_Restart] = []
     failures: list[str] = []
-    for restart in range(max(1, config.restarts)):
+    for restart in range(restarts):
+        rng = np.random.default_rng([config.seed, restart])
         try:
-            result = _fit_single_start(Xc, k, config, restart, xx)
+            params = _init_params(Xc, k, rng, config.ridge)
+            resp, ll = _e_core(*params, Xc)
+            run = _Restart(restart, params, resp, ll, [ll])
+            _iterate(Xc, xx, run, config, min(SHORT_ITER, config.max_iter))
         except (EmptyCluster, SingularCovariance) as exc:
             failures.append(f"restart {restart}: {exc}")
             continue
-        if best is None or result[2] > best[2]:
-            best = result
-    if best is None:
-        raise AllRestartsDegenerate(
-            f"all {max(1, config.restarts)} restarts degenerate: " + "; ".join(failures)
+        runs.append(run)
+    # the sort is stable, so equal log-likelihoods keep restart order
+    for run in sorted(runs, key=lambda r: -r.ll):
+        try:
+            _iterate(Xc, xx, run, config, config.max_iter)
+        except (EmptyCluster, SingularCovariance) as exc:
+            failures.append(f"restart {run.index}: {exc}")
+            continue
+        weights, means, covs = run.params
+        return FittedMixture(
+            components=_build_components(weights, means + shift, covs),
+            k=k,
+            log_likelihood=run.ll,
+            iterations=run.iterations,
+            converged=run.converged,
+            responsibilities=run.resp,
+            seed=config.seed,
+            ll_trace=tuple(run.trace),
+            ll_decrease_max=run.decrease,
         )
-    (weights, means, covs), resp, ll, iterations, converged, trace, decrease = best
-    return FittedMixture(
-        components=_build_components(weights, means + shift, covs),
-        k=k,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        responsibilities=resp,
-        seed=config.seed,
-        ll_trace=trace,
-        ll_decrease_max=decrease,
+    raise AllRestartsDegenerate(
+        f"all {restarts} restarts degenerate: " + "; ".join(failures)
     )
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes expected values by a different route than the
 library: dense density formula with explicit det/inverse, exhaustive
 permutation search, contingency-table ARI, and a from-scratch rewrite of
-the labeling cascade. Keep these independent of the package internals.
+the labeling cascade. Keep these independent of the package internals,
+except ``reference_restarts``, which reuses the EM kernels to replay the
+plain schedule that runs every restart to convergence.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 
 import numpy as np
 
-from pitchmbc.mixture import FittedMixture, MixtureComponent
+from pitchmbc.errors import EmptyCluster, SingularCovariance
+from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
+                              _e_core, _init_params, _m_core, _xx_features)
 
 
 def dense_mvn_logpdf(x, mean, cov) -> float:
@@ -139,3 +143,52 @@ def assert_fits_identical(f1: FittedMixture, f2: FittedMixture) -> None:
         assert f1.responsibilities is None and f2.responsibilities is None
     else:
         assert np.array_equal(f1.responsibilities, f2.responsibilities)
+
+
+def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None]:
+    """Every restart run to convergence or max_iter on its own, in restart
+    order; None for a restart that hit an empty cluster or a singular
+    covariance."""
+    X = np.asarray(X.to_matrix() if hasattr(X, "to_matrix") else X, dtype=float)
+    shift = X.mean(axis=0)
+    Xc = X - shift
+    xx = _xx_features(Xc)
+    out: list[FittedMixture | None] = []
+    for restart in range(max(1, config.restarts)):
+        rng = np.random.default_rng([config.seed, restart])
+        try:
+            params = _init_params(Xc, k, rng, config.ridge)
+            trace, prev, converged, iterations = [], None, False, 0
+            for _ in range(config.max_iter):
+                resp, ll = _e_core(*params, Xc)
+                trace.append(ll)
+                if prev is not None and ll - prev <= config.tol * (abs(prev) or 1.0):
+                    converged = True
+                    break
+                prev = ll
+                params = _m_core(Xc, resp, config.ridge, xx)
+                iterations += 1
+            else:
+                resp, ll = _e_core(*params, Xc)
+                trace.append(ll)
+        except (EmptyCluster, SingularCovariance):
+            out.append(None)
+            continue
+        weights, means, covs = params
+        out.append(FittedMixture(
+            components=_build_components(weights, means + shift, covs), k=k,
+            log_likelihood=ll, iterations=iterations, converged=converged,
+            responsibilities=resp, seed=config.seed, ll_trace=tuple(trace),
+            ll_decrease_max=max([0.0] + [a - b for a, b in zip(trace, trace[1:])])))
+    return out
+
+
+def reference_fit_em(X, k: int, config: EmConfig) -> FittedMixture | None:
+    """The plain restart schedule: the restart with the highest final
+    log-likelihood wins, ties to the lower index. None when every restart
+    is degenerate."""
+    best = None
+    for fit in reference_restarts(X, k, config):
+        if fit is not None and (best is None or fit.log_likelihood > best.log_likelihood):
+            best = fit
+    return best

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_fits_identical, dense_mvn_logpdf, make_component,
-                     random_spd_component)
+                     random_spd_component, reference_fit_em, reference_restarts)
+from pitchmbc import mixture
 from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovariance,
                              TooFewPoints)
-from pitchmbc.mixture import (EmConfig, FittedMixture, e_step, fit_em,
+from pitchmbc.mixture import (SHORT_ITER, EmConfig, FittedMixture, e_step, fit_em,
                               log_density, m_step, param_count, posterior_assign)
-from pitchmbc.synth import gaussian_blobs, three_separated_gaussians
+from pitchmbc.selection import SelectionConfig, choose_best, select_k
+from pitchmbc.synth import archetype_pitcher, gaussian_blobs, three_separated_gaussians
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -207,6 +209,101 @@ def test_fit_em_degenerate_data_raises():
     X = np.tile([90.0, 10.0, -5.0], (12, 1))
     with pytest.raises(AllRestartsDegenerate):
         fit_em(X, 1, EmConfig(seed=0, restarts=3))
+
+
+# ------------------------------------------------------- short-EM schedule
+
+@pytest.mark.parametrize("k, restarts, max_iter", [
+    (2, 8, 1000),   # every restart converges within SHORT_ITER
+    (4, 1, 1000),   # one restart, run on through the long phase
+    (6, 1, 1000),
+    (4, 8, 5),      # max_iter below SHORT_ITER: the short phase is the whole budget
+])
+def test_fit_em_matches_full_em_reference_exactly(k, restarts, max_iter):
+    X, _, _ = three_separated_gaussians(seed=2, n_per=60)
+    config = EmConfig(seed=5, restarts=restarts, max_iter=max_iter)
+    assert_fits_identical(fit_em(X, k, config), reference_fit_em(X, k, config))
+
+
+def test_fit_em_budget_below_short_phase():
+    ds, _, _ = archetype_pitcher(400, seed=11)
+    X = ds.to_matrix()
+    fit = fit_em(X, 6, EmConfig(max_iter=5))
+    assert not fit.converged
+    assert fit.iterations == 5
+    # resp and ll describe the final parameters, not the ones before them
+    resp, ll = e_step(fit.components, X)
+    assert ll == pytest.approx(fit.log_likelihood, rel=1e-10)
+    np.testing.assert_allclose(resp, fit.responsibilities, atol=1e-9)
+
+
+def test_fit_em_default_config_long_phase_within_budget():
+    ds, _, _ = archetype_pitcher(400, seed=11)
+    config = EmConfig()
+    fit = fit_em(ds, 6, config)
+    assert SHORT_ITER < fit.iterations <= config.max_iter
+    assert len(fit.ll_trace) == fit.iterations + 1
+
+
+def test_ll_decrease_max_is_largest_drop_in_trace():
+    # a constant column: the per-iteration ridge makes the log-likelihood drop
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.normal(90, 2, 200), rng.normal(50, 10, 200), np.full(200, 5.0)])
+    fit = fit_em(X, 2, EmConfig())
+    drops = [a - b for a, b in zip(fit.ll_trace, fit.ll_trace[1:])]
+    assert fit.ll_decrease_max == max(drops) > 0
+
+
+def _fail_after_short_phase(monkeypatch, restarts, fail_calls):
+    """Make _m_core raise EmptyCluster on the given calls after the short
+    phase (call 1 is the winner's first long-phase M-step), assuming no
+    restart converges within SHORT_ITER."""
+    real = mixture._m_core
+    count = [0]
+
+    def m_core(*args, **kwargs):
+        count[0] += 1
+        if count[0] - restarts * (SHORT_ITER + 1) in fail_calls:
+            raise EmptyCluster("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, "_m_core", m_core)
+
+
+def test_long_phase_failure_continues_next_best_restart(monkeypatch):
+    ds, _, _ = archetype_pitcher(400, seed=11)
+    config = EmConfig(seed=0, restarts=3)
+    ref = reference_restarts(ds, 6, config)
+    assert all(f is not None and f.iterations > SHORT_ITER for f in ref)
+    # short-phase ranking: the log-likelihood after SHORT_ITER iterations
+    order = sorted(range(3), key=lambda r: -ref[r].ll_trace[SHORT_ITER])
+    _fail_after_short_phase(monkeypatch, 3, {1})
+    assert_fits_identical(fit_em(ds, 6, config), ref[order[1]])
+
+
+def test_long_phase_failures_exhaust_every_restart(monkeypatch):
+    ds, _, _ = archetype_pitcher(400, seed=11)
+    # every long phase fails at its first M-step
+    _fail_after_short_phase(monkeypatch, 3, {1, 2, 3})
+    with pytest.raises(AllRestartsDegenerate) as info:
+        fit_em(ds, 6, EmConfig(seed=0, restarts=3))
+    message = str(info.value)
+    assert all(f"restart {r}: injected" in message for r in range(3))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_short_em_keeps_full_em_optimum_and_selection(seed):
+    X = archetype_pitcher(1500, seed=seed)[0].to_matrix()
+    n = X.shape[0]
+    config = EmConfig()
+    ref = [reference_fit_em(X, k, config) for k in range(1, 10)]
+    result = select_k(X, 1, 9, SelectionConfig(em=config))
+    assert not result.failures
+    for k in range(1, 6):
+        assert result.scores[k - 1].log_likelihood == pytest.approx(
+            ref[k - 1].log_likelihood, rel=1e-9, abs=0)
+    ref_idx, _ = choose_best(ref, n, "bicadj", math.log(n))
+    assert result.best.k == ref[ref_idx].k
 
 
 # ---------------------------------------------------------- posterior_assign
