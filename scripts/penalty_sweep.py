@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from pitchmbc.mixture import EmConfig, fit_em
+from pitchmbc.mixture import POINTS_PER_COMPONENT, EmConfig, fit_em
 from pitchmbc.selection import choose_best
 from pitchmbc.synth import archetype_pitcher, thin_split_matrix
 
@@ -33,7 +33,7 @@ def main():
 
     fits = []
     for k in range(1, args.kmax + 1):
-        if n < 4 * k:
+        if n < POINTS_PER_COMPONENT * k:
             break
         fits.append(fit_em(X, k, EmConfig(seed=args.seed, restarts=8)))
 

@@ -1,10 +1,13 @@
 """Versioned JSON persistence for fitted, labeled models.
 
 Archives are human-readable JSON with sorted keys and stable layout, so the
-same model always serializes to the same bytes. Floats go through Python's
-shortest round-trip repr, which json preserves exactly, making
-load(save(m)) lossless. Training responsibilities are excluded: they are
-recomputable from the components and the data.
+same model always serializes to the same bytes. The layout is the dataclass
+fields: the top-level keys are those of :class:`ModelArchive`, ``fit`` holds
+those of :class:`FittedMixture` minus ``responsibilities`` (recomputable from
+the components and the data), each component those of
+:class:`MixtureComponent` and each score row those of :class:`CriterionScore`.
+Floats go through Python's shortest round-trip repr, which json preserves
+exactly, making load(save(m)) lossless.
 """
 
 from __future__ import annotations
@@ -60,39 +63,10 @@ def archive_from_results(pitcher_id: str, labeled: LabeledModel,
     )
 
 
-def _component_to_dict(comp: MixtureComponent) -> dict:
-    return {
-        "mean": [float(v) for v in comp.mean],
-        "stddev": [float(v) for v in comp.stddev],
-        "correlation": [[float(v) for v in row] for row in comp.correlation],
-        "weight": float(comp.weight),
-    }
-
-
 def archive_to_json(archive: ModelArchive) -> str:
-    doc = {
-        "format_version": archive.format_version,
-        "pitcher_id": archive.pitcher_id,
-        "criterion": archive.criterion,
-        "penalty_scale": archive.penalty_scale,
-        "fit": {
-            "k": archive.fit.k,
-            "log_likelihood": archive.fit.log_likelihood,
-            "iterations": archive.fit.iterations,
-            "converged": archive.fit.converged,
-            "seed": archive.fit.seed,
-            "ll_trace": list(archive.fit.ll_trace),
-            "ll_decrease_max": archive.fit.ll_decrease_max,
-            "components": [_component_to_dict(c) for c in archive.fit.components],
-        },
-        "labels": [str(label) for label in archive.labels],
-        "anchor_index": archive.anchor_index,
-        "rule_trace": [list(trace) for trace in archive.rule_trace],
-        "score_table": [asdict(s) for s in archive.score_table],
-        "selection_failures": [[k, reason] for k, reason in archive.selection_failures],
-        "config": archive.config,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = asdict(archive)
+    del doc["fit"]["responsibilities"]
+    return json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
 
 
 def save_archive(archive: ModelArchive, path) -> None:

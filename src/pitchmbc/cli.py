@@ -9,7 +9,6 @@ failures: 2 usage (argparse), 3 I/O, 4 validation, 5 fit failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -17,12 +16,12 @@ from pathlib import Path
 
 from .archive import archive_from_results, load_archive, save_archive
 from .errors import ArchiveError, FitError, IngestError
-from .ingest import DEFAULT_SCHEMA, ColumnSchema, filter_pitches, parse_pitch_csv
+from .ingest import DEFAULT_SCHEMA, ColumnSchema, csv_rows, filter_pitches, parse_pitch_csv
 from .labeling import (LabelConfig, classify_dataset, confusion_counts,
                        format_confusion, label_clusters, write_labeled_csv)
-from .mixture import EmConfig, fit_em
+from .mixture import POINTS_PER_COMPONENT, EmConfig, fit_em
 from .plotting import cluster_colors, projection_svg, write_plot_csv
-from .selection import SelectionConfig, select_k, write_score_csv
+from .selection import CRITERIA, SelectionConfig, select_k, write_score_csv
 from .stability import check_split, stability_run, write_stability_csv
 
 EXIT_OK = 0
@@ -59,7 +58,7 @@ def _add_em_options(parser):
 def _add_selection_options(parser):
     parser.add_argument("--kmin", type=int, default=1)
     parser.add_argument("--kmax", type=int, default=9)
-    parser.add_argument("--criterion", choices=["bic", "bicadj"], default=None)
+    parser.add_argument("--criterion", choices=CRITERIA, default=None)
     parser.add_argument("--penalty-scale", default=None,
                         help="'auto' (= ln n) or a nonnegative number")
 
@@ -301,7 +300,7 @@ def cmd_batch(args) -> int:
         row = dict(dict.fromkeys(_SUMMARY_FIELDS, ""), pitcher_id=pitcher_id, status="ok")
         try:
             filtered = filter_pitches(sub)
-            kmax = min(args.kmax, filtered.n // 4)
+            kmax = min(args.kmax, filtered.n // POINTS_PER_COMPONENT)
             if kmax < args.kmin:
                 raise FitError(f"n={filtered.n} too small for kmin={args.kmin}")
             result, labeled = _fit_pitcher(args, filtered, kmax, settings,
@@ -324,13 +323,11 @@ def cmd_batch(args) -> int:
             print(f"{pitcher_id}: skipped ({exc})", file=sys.stderr)
         summary_rows.append(row)
 
-    with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(summary_rows)
+    with csv_rows(outdir / "summary.csv") as writer:
+        writer.writerow(_SUMMARY_FIELDS)
+        writer.writerows([row[f] for f in _SUMMARY_FIELDS] for row in summary_rows)
     # raw per-pitcher agreement means, one row each, for the two stability histograms
-    with open(outdir / "stability_agreements.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with csv_rows(outdir / "stability_agreements.csv") as writer:
         writer.writerow(["pitcher_id", "agreement_80", "agreement_20"])
         for row in summary_rows:
             if row["status"] == "ok" and row["mean_80"] != "":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -206,15 +207,28 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
     return PitchDataset(tuple(records), rejected=tuple(rejected))
 
 
+@contextmanager
+def csv_rows(dest, delimiter: str = ","):
+    """A ``csv.writer`` with ``\\n`` line ends over ``dest``.
+
+    ``dest`` is a path, opened as UTF-8 and closed on exit, or an open text
+    stream, which is left open. Every CSV table the package writes goes
+    through here.
+    """
+    if hasattr(dest, "write"):
+        yield csv.writer(dest, delimiter=delimiter, lineterminator="\n")
+        return
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        yield csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+
+
 def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_SCHEMA) -> None:
     """Serialize a dataset using the schema's column names.
 
     Floats are written with shortest round-trip repr, so
     parse(write(parse(f))) == parse(f) exactly.
     """
-    own = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(own, delimiter=schema.delimiter, lineterminator="\n")
+    with csv_rows(dest, schema.delimiter) as writer:
         writer.writerow([
             schema.pitcher_id, schema.season, schema.start_speed,
             schema.back_spin, schema.side_spin, schema.reference_label,
@@ -230,9 +244,6 @@ def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_
                 rec.reference_label or "",
                 "1" if rec.is_intentional_ball else "0",
             ])
-    finally:
-        if own is not dest:
-            own.close()
 
 
 def serialize_pitch_csv(dataset: PitchDataset, schema: ColumnSchema = DEFAULT_SCHEMA) -> str:

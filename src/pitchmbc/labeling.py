@@ -11,13 +11,13 @@ patched here; callers can force a different anchor via ``anchor_override``.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .ingest import csv_rows
 from .mixture import FittedMixture, MixtureComponent, e_step, posterior_assign
 
 
@@ -196,15 +196,10 @@ def classify_dataset(model: LabeledModel, data) -> tuple[np.ndarray, list[PitchT
 def write_labeled_csv(dest, indices, types, pmax, reference_labels=None) -> None:
     """Per-pitch labels: row_id, cluster_index, pitch_type, posterior_max, reference_label."""
     refs = reference_labels if reference_labels is not None else [None] * len(indices)
-    own = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(own, lineterminator="\n")
+    with csv_rows(dest) as writer:
         writer.writerow(["row_id", "cluster_index", "pitch_type", "posterior_max", "reference_label"])
         for row_id, (ci, pt, pm, ref) in enumerate(zip(indices, types, pmax, refs)):
             writer.writerow([row_id, int(ci), str(pt), repr(float(pm)), ref or ""])
-    finally:
-        if own is not dest:
-            own.close()
 
 
 def confusion_counts(reference_labels, types) -> dict[tuple[str, str], int]:

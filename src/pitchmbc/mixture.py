@@ -33,6 +33,8 @@ from .errors import AllRestartsDegenerate, EmptyCluster, SingularCovariance, Too
 LOG_2PI = math.log(2.0 * math.pi)
 # iterations every restart runs before only the best one continues
 SHORT_ITER = 20
+# the fewest points per mixture component a fit accepts
+POINTS_PER_COMPONENT = 4
 
 
 def param_count(k: int) -> int:
@@ -50,6 +52,11 @@ class EmConfig:
     max_iter: int = 1000
     tol: float = 1e-8
     ridge: float = 1e-6
+
+    def __post_init__(self):
+        for name, low in (("restarts", 1), ("max_iter", 1), ("tol", 0), ("ridge", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,36 +147,35 @@ def _as_matrix(data) -> np.ndarray:
     return X
 
 
-def _cholesky_single(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, retrying once with a tiny trace-scaled bump."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    bump = 1e-10 * (np.trace(cov) / 3.0)
-    if not (np.isfinite(bump) and bump > 0):
-        raise SingularCovariance("covariance has non-positive trace")
-    try:
-        return np.linalg.cholesky(cov + bump * np.eye(3))
-    except np.linalg.LinAlgError:
-        raise SingularCovariance("covariance not positive definite after regularization") from None
-
-
-def _cholesky_batch(covs: np.ndarray) -> np.ndarray:
+def _cholesky(covs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (k, 3, 3) stack. A component that does not
+    factor is retried once with a tiny trace-scaled bump."""
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        # at least one component is troublesome; regularize per component
-        out = np.empty_like(covs)
-        for j in range(covs.shape[0]):
-            out[j] = _cholesky_single(covs[j])
-        return out
+        pass
+    out = np.empty_like(covs)
+    for j, cov in enumerate(covs):
+        try:
+            out[j] = np.linalg.cholesky(cov)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        bump = 1e-10 * (np.trace(cov) / 3.0)
+        if not (np.isfinite(bump) and bump > 0):
+            raise SingularCovariance("covariance has non-positive trace")
+        try:
+            out[j] = np.linalg.cholesky(cov + bump * np.eye(3))
+        except np.linalg.LinAlgError:
+            raise SingularCovariance(
+                "covariance not positive definite after regularization") from None
+    return out
 
 
 def _e_core(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
             X: np.ndarray) -> tuple[np.ndarray, float]:
     """Responsibilities and log-likelihood from packed parameters."""
-    L = _cholesky_batch(covs)
+    L = _cholesky(covs)
     x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
     # forward substitution z = L^-1 (x - mean), broadcast (k, n)
     z0 = (x0 - means[:, 0][:, None]) / L[:, 0, 0][:, None]
@@ -194,8 +200,9 @@ def _xx_features(X: np.ndarray) -> np.ndarray:
 
 
 def _m_core(X: np.ndarray, resp: np.ndarray, ridge: float,
-            xx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted ML update of (weights, means, covariances), ridge applied."""
+            xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted ML update of (weights, means, covariances), ridge applied;
+    ``xx`` is ``_xx_features(X)``."""
     n = X.shape[0]
     mass = resp.sum(axis=0)
     if np.any(mass < 10.0 * np.finfo(np.float64).eps * n):
@@ -203,8 +210,6 @@ def _m_core(X: np.ndarray, resp: np.ndarray, ridge: float,
         raise EmptyCluster(f"component {j} has responsibility mass {mass[j]:.3e}")
     weights = mass / n
     means = (resp.T @ X) / mass[:, None]
-    if xx is None:
-        xx = _xx_features(X)
     second = (resp.T @ xx).reshape(-1, 3, 3) / mass[:, None, None]
     covs = second - means[:, :, None] * means[:, None, :]
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
@@ -249,14 +254,7 @@ def log_density(component: MixtureComponent, x) -> float:
         raise ValueError("x must be a 3-vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    L = _cholesky_single(component.covariance())
-    d = x - component.mean
-    z0 = d[0] / L[0, 0]
-    z1 = (d[1] - L[1, 0] * z0) / L[1, 1]
-    z2 = (d[2] - L[2, 0] * z0 - L[2, 1] * z1) / L[2, 2]
-    quad = z0 * z0 + z1 * z1 + z2 * z2
-    half_logdet = math.log(L[0, 0]) + math.log(L[1, 1]) + math.log(L[2, 2])
-    return float(-0.5 * (3.0 * LOG_2PI + quad) - half_logdet)
+    return _e_core(np.ones(1), component.mean[None], component.covariance()[None], x[None])[1]
 
 
 def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, float]:
@@ -269,7 +267,8 @@ def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, fl
     return _e_core(*_pack(components), X)
 
 
-def m_step(data, responsibilities: np.ndarray, ridge: float = 1e-6) -> list[MixtureComponent]:
+def m_step(data, responsibilities: np.ndarray,
+           ridge: float = EmConfig.ridge) -> list[MixtureComponent]:
     """Weighted maximum-likelihood update of all components.
 
     Covariances are the responsibility-weighted scatter about the weighted
@@ -281,7 +280,7 @@ def m_step(data, responsibilities: np.ndarray, ridge: float = 1e-6) -> list[Mixt
     resp = np.asarray(responsibilities, dtype=np.float64)
     if resp.ndim != 2 or resp.shape[0] != X.shape[0]:
         raise ValueError("responsibility rows do not match data rows")
-    return list(_build_components(*_m_core(X, resp, ridge)))
+    return list(_build_components(*_m_core(X, resp, ridge, _xx_features(X))))
 
 
 def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,7 +299,8 @@ def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return Z[chosen]
 
 
-def _init_params(X: np.ndarray, k: int, rng: np.random.Generator, ridge: float):
+def _init_params(X: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
+                 ridge: float):
     """Seed k centers on standardized data, hard-assign, one M-step."""
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -311,7 +311,7 @@ def _init_params(X: np.ndarray, k: int, rng: np.random.Generator, ridge: float):
     hard = np.argmin(d2, axis=1)
     resp = np.zeros((X.shape[0], k))
     resp[np.arange(X.shape[0]), hard] = 1.0
-    return _m_core(X, resp, ridge)
+    return _m_core(X, resp, ridge, xx)
 
 
 def _rel_scale(ll: float) -> float:
@@ -361,7 +361,7 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     to convergence or ``config.max_iter`` iterations in total. If that
     restart hits an empty cluster or a singular covariance, the next best
     one continues instead. Deterministic given (data, k, config.seed).
-    Raises :class:`TooFewPoints` when n < 4k and
+    Raises :class:`TooFewPoints` when n < POINTS_PER_COMPONENT * k and
     :class:`AllRestartsDegenerate` when every restart hit an empty cluster
     or a singular covariance.
     """
@@ -369,20 +369,20 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     n = X.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 4 * k:
-        raise TooFewPoints(f"n={n} cannot support k={k} (need at least {4 * k})")
+    if n < POINTS_PER_COMPONENT * k:
+        raise TooFewPoints(f"n={n} cannot support k={k} "
+                           f"(need at least {POINTS_PER_COMPONENT * k})")
     # fit about the grand mean: covariances are translation-invariant and the
     # smaller magnitudes keep the sufficient-statistic M-step well conditioned
     shift = X.mean(axis=0)
     Xc = X - shift
     xx = _xx_features(Xc)
-    restarts = max(1, config.restarts)
     runs: list[_Restart] = []
     failures: list[str] = []
-    for restart in range(restarts):
+    for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         try:
-            params = _init_params(Xc, k, rng, config.ridge)
+            params = _init_params(Xc, xx, k, rng, config.ridge)
             resp, ll = _e_core(*params, Xc)
             run = _Restart(restart, params, resp, ll, [ll])
             _iterate(Xc, xx, run, config, min(SHORT_ITER, config.max_iter))
@@ -410,7 +410,7 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
             ll_decrease_max=run.decrease,
         )
     raise AllRestartsDegenerate(
-        f"all {restarts} restarts degenerate: " + "; ".join(failures)
+        f"all {config.restarts} restarts degenerate: " + "; ".join(failures)
     )
 
 

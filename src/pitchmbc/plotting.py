@@ -9,11 +9,11 @@ raster so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
 
+from .ingest import csv_rows
 from .labeling import PitchType
 
 BASE_COLORS: dict[PitchType, str] = {
@@ -51,16 +51,11 @@ def cluster_colors(labels: Sequence[PitchType]) -> list[str]:
 def write_plot_csv(dest, X: np.ndarray, types: Sequence[PitchType],
                    colors: Sequence[str]) -> None:
     """Scatter rows: start_speed, back_spin, side_spin, pitch_type, color."""
-    own = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(own, lineterminator="\n")
+    with csv_rows(dest) as writer:
         writer.writerow(["start_speed", "back_spin", "side_spin", "pitch_type", "color"])
         for row, ptype, color in zip(X, types, colors):
             writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(row[2])),
                              str(ptype), color])
-    finally:
-        if own is not dest:
-            own.close()
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:

@@ -9,13 +9,14 @@ strongly-correlated clusters. Lower is better for both.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import FitError, NoViableK, TooFewPoints
-from .mixture import EmConfig, FittedMixture, fit_em, param_count, _as_matrix
+from .ingest import csv_rows
+from .mixture import (POINTS_PER_COMPONENT, EmConfig, FittedMixture, fit_em,
+                      param_count, _as_matrix)
 
 CRITERIA = ("bic", "bicadj")
 
@@ -129,8 +130,9 @@ def select_k(data, k_min: int, k_max: int,
         raise ValueError(f"need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
     X = _as_matrix(data)
     n = X.shape[0]
-    if n < 4 * k_max:
-        raise TooFewPoints(f"n={n} cannot support k_max={k_max} (need at least {4 * k_max})")
+    if n < POINTS_PER_COMPONENT * k_max:
+        raise TooFewPoints(f"n={n} cannot support k_max={k_max} "
+                           f"(need at least {POINTS_PER_COMPONENT * k_max})")
     penalty_scale = config.penalty_scale if config.penalty_scale is not None else math.log(n)
 
     fits: list[FittedMixture] = []
@@ -156,9 +158,7 @@ def select_k(data, k_min: int, k_max: int,
 
 def write_score_csv(result: SelectionResult, dest) -> None:
     """Score table as CSV: k, loglik, bic, penalty, bic_adj, converged."""
-    own = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(own, lineterminator="\n")
+    with csv_rows(dest) as writer:
         writer.writerow(["k", "loglik", "bic", "penalty", "bic_adj", "converged"])
         rows = {score.k: score for score in result.scores}
         failed = dict(result.failures)
@@ -170,6 +170,3 @@ def write_score_csv(result: SelectionResult, dest) -> None:
                                  str(s.converged).lower()])
             else:
                 writer.writerow([k, "", "", "", "", "failed"])
-    finally:
-        if own is not dest:
-            own.close()

@@ -11,7 +11,6 @@ comparison without the alignment step would be meaningless.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -20,7 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, FitError, TooFewPoints
-from .mixture import EmConfig, FittedMixture, fit_em, _as_matrix
+from .ingest import csv_rows
+from .mixture import POINTS_PER_COMPONENT, EmConfig, FittedMixture, fit_em, _as_matrix
 
 
 def _assignment_optimum(M: np.ndarray) -> int:
@@ -140,9 +140,10 @@ def check_split(n: int, k: int, split: float, replications: int) -> None:
         raise ValueError("replications must be >= 1")
     n_major = int(round(split * n))
     n_minor = n - n_major
-    if min(n_major, n_minor) < 4 * k:
+    need = POINTS_PER_COMPONENT * k
+    if min(n_major, n_minor) < need:
         raise TooFewPoints(
-            f"subsets of sizes {n_major}/{n_minor} cannot support k={k} (need {4 * k} each)"
+            f"subsets of sizes {n_major}/{n_minor} cannot support k={k} (need {need} each)"
         )
 
 
@@ -207,9 +208,7 @@ def stability_run(data, reference: FittedMixture, split: float = 0.8, replicatio
 
 def write_stability_csv(report: StabilityReport, dest) -> None:
     """One row per replication plus a summary row with means and stderrs."""
-    own = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(own, lineterminator="\n")
+    with csv_rows(dest) as writer:
         writer.writerow(["pitcher_id", "k", "row", "agreement_80", "agreement_20",
                          "stderr_80", "stderr_20", "status"])
         ok_indices = report.successful_indices()
@@ -220,6 +219,3 @@ def write_stability_csv(report: StabilityReport, dest) -> None:
         writer.writerow([report.pitcher_id, report.k, "summary",
                          repr(report.mean_80), repr(report.mean_20),
                          repr(report.stderr_80), repr(report.stderr_20), ""])
-    finally:
-        if own is not dest:
-            own.close()

@@ -157,7 +157,7 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
     for restart in range(max(1, config.restarts)):
         rng = np.random.default_rng([config.seed, restart])
         try:
-            params = _init_params(Xc, k, rng, config.ridge)
+            params = _init_params(Xc, xx, k, rng, config.ridge)
             trace, prev, converged, iterations = [], None, False, 0
             for _ in range(config.max_iter):
                 resp, ll = _e_core(*params, Xc)

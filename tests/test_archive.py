@@ -38,6 +38,21 @@ def test_roundtrip_exact(tmp_path):
     assert_fits_identical(loaded.fit, archive.fit)
 
 
+def test_archive_key_sets_are_pinned():
+    # a new dataclass field enters the archive only by editing these literals
+    doc = json.loads(archive_to_json(small_archive()))
+    assert set(doc) == {"anchor_index", "config", "criterion", "fit", "format_version",
+                        "labels", "penalty_scale", "pitcher_id", "rule_trace",
+                        "score_table", "selection_failures"}
+    assert set(doc["fit"]) == {"components", "converged", "iterations", "k",
+                               "ll_decrease_max", "ll_trace", "log_likelihood", "seed"}
+    for comp in doc["fit"]["components"]:
+        assert set(comp) == {"correlation", "mean", "stddev", "weight"}
+    for row in doc["score_table"]:
+        assert set(row) == {"bic", "bic_adj", "converged", "correlation_penalty", "k",
+                            "log_likelihood", "penalty_scale"}
+
+
 def test_fit_responsibilities_stripped():
     archive = small_archive()
     assert archive.fit.responsibilities is None

@@ -279,6 +279,26 @@ def test_config_unknown_key_is_validation_error(tmp_path, capsys, command, secti
     assert not any(tmp_path.glob("m.json")) and not (tmp_path / "b").exists()
 
 
+BAD_EM_VALUES = [("restarts", 0), ("restarts", -2), ("max_iter", 0), ("tol", -1.0),
+                 ("tol", float("nan")), ("ridge", -1.0)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", BAD_EM_VALUES)
+def test_bad_em_value_is_validation_error(pitcher_csv, tmp_path, capsys, key, value, source):
+    if source == "flag":
+        given = ["--" + key.replace("_", "-"), str(value)]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"em": {key: value}}))
+        given = ["--config", str(cfg)]
+    out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)] + given)
+    assert code == 4
+    assert f"error: {key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_columns_unknown_field_is_validation_error(pitcher_csv, tmp_path, capsys):
     code = main(["fit", "--input", str(pitcher_csv), "--columns", "speed=velo",
                  "--out", str(tmp_path / "m.json")])

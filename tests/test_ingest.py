@@ -9,6 +9,10 @@ from pitchmbc.errors import EmptyDataset, MissingColumn
 from pitchmbc.ingest import (ColumnSchema, DEFAULT_SCHEMA, PitchDataset, PitchRecord,
                              filter_pitches, parse_pitch_csv, serialize_pitch_csv,
                              write_pitch_csv)
+from pitchmbc.labeling import PitchType, write_labeled_csv
+from pitchmbc.plotting import write_plot_csv
+from pitchmbc.selection import CriterionScore, SelectionResult, write_score_csv
+from pitchmbc.stability import StabilityReport, write_stability_csv
 
 HEADER = "pitcher_id,season,start_speed,back_spin,side_spin,pitch_type,intentional"
 
@@ -161,6 +165,41 @@ def test_write_to_path_roundtrip(tmp_path):
     path = tmp_path / "pitches.csv"
     write_pitch_csv(ds, path)
     assert parse_pitch_csv(path) == ds
+
+
+def _csv_writers():
+    """Each package CSV writer, bound to small hand-made inputs, as f(dest)."""
+    ds = PitchDataset((
+        PitchRecord("josé", 91.5, 0.1, -0.3, season="2010", reference_label="FF"),
+        PitchRecord("josé", 77.0, -88.25, 31.5, is_intentional_ball=True),
+    ))
+    types = [PitchType.FOUR_SEAM, PitchType.CURVEBALL]
+    score = CriterionScore(k=1, log_likelihood=-1.5, bic=3.5, correlation_penalty=0.25,
+                           bic_adj=3.75, penalty_scale=0.7, converged=True)
+    result = SelectionResult(best=None, best_score=score, scores=(score,),
+                             failures=((2, "degenerate, twice"),), criterion="bicadj",
+                             penalty_scale=0.7)
+    report = StabilityReport("josé", 2, 0.8, 2, 0, ((1.0, 0.5),), ((1, "empty"),),
+                             1.0, 0.5, 0.0, 0.0)
+    return {
+        "pitch": lambda d: write_pitch_csv(ds, d, DEFAULT_SCHEMA.with_overrides(delimiter=";")),
+        "labeled": lambda d: write_labeled_csv(d, [0, 1], types, [0.9, 0.6], ["FF", None]),
+        "plot": lambda d: write_plot_csv(d, ds.to_matrix(), types, ["red", "black"]),
+        "score": lambda d: write_score_csv(result, d),
+        "stability": lambda d: write_stability_csv(report, d),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_csv_writers()))
+def test_csv_writer_stream_matches_path_bytes(name, tmp_path):
+    write = _csv_writers()[name]
+    buf = io.StringIO()
+    write(buf)
+    assert not buf.closed
+    path = tmp_path / "out.csv"
+    write(path)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert buf.getvalue().endswith("\n") and "\r" not in buf.getvalue()
 
 
 def test_split_by_pitcher_and_single_id():

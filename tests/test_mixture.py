@@ -52,6 +52,12 @@ def test_log_density_singular_covariance_raises():
         log_density(comp, [0, 0, 0])
 
 
+def test_em_config_lowest_valid_values_fit():
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    fit = fit_em(X, 2, EmConfig(restarts=1, max_iter=1, tol=0.0, ridge=0.0))
+    assert fit.iterations == 1 and len(fit.ll_trace) == 2
+
+
 def test_component_invariant_validation():
     with pytest.raises(ValueError):
         make_component([0, 0, 0], stddev=(1.0, -1.0, 1.0))
