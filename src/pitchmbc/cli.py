@@ -142,8 +142,28 @@ def _field_names(config_cls) -> list[str]:
     return [f.name for f in fields(config_cls)]
 
 
+def _has_type(value, kind: type) -> bool:
+    """An int field takes an int, a float field an int or a float, a str
+    field a string; a bool is neither number."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _typed_section(cfg: dict, name: str, config_cls) -> dict:
+    """Config-file section ``name``; each value must have the type of the
+    ``config_cls`` field it sets."""
+    section = _section(cfg, name, _field_names(config_cls))
+    for f in fields(config_cls):
+        kind = type(f.default)
+        if f.name in section and not _has_type(section[f.name], kind):
+            raise ValueError(f"config {name}.{f.name}: expected {kind.__name__}, "
+                             f"got {section[f.name]!r}")
+    return section
+
+
 def _schema_from(args, cfg: dict):
-    schema = replace(DEFAULT_SCHEMA, **_section(cfg, "schema", _field_names(ColumnSchema)))
+    schema = replace(DEFAULT_SCHEMA, **_typed_section(cfg, "schema", ColumnSchema))
     mapping = {}
     if getattr(args, "columns", None):
         for pair in args.columns.split(","):
@@ -159,7 +179,7 @@ def _config_from(config_cls, name: str, args, cfg: dict):
     """``config_cls`` from its config-file section, each set flag taking precedence."""
     names = _field_names(config_cls)
     flags = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
-    return config_cls(**{**_section(cfg, name, names), **flags})
+    return config_cls(**{**_typed_section(cfg, name, config_cls), **flags})
 
 
 def _selection_from(args, cfg: dict, em: EmConfig) -> SelectionConfig:
@@ -168,6 +188,9 @@ def _selection_from(args, cfg: dict, em: EmConfig) -> SelectionConfig:
     raw_scale = args.penalty_scale
     if raw_scale is None:
         raw_scale = section.get("penalty_scale", "auto")
+        if not (isinstance(raw_scale, str) or _has_type(raw_scale, float)):
+            raise ValueError(f"config selection.penalty_scale: expected 'auto' or a "
+                             f"number, got {raw_scale!r}")
     scale = None if str(raw_scale).lower() == "auto" else float(raw_scale)
     return SelectionConfig(em=em, criterion=criterion, penalty_scale=scale)
 

@@ -18,12 +18,20 @@ with the highest log-likelihood runs on to convergence. One loop,
 ``_iterate``, serves both phases, so the winner simply resumes its own
 state. Losing restarts above the true k would otherwise spend most of the
 fit time in slow convergence tails.
+
+The short phase runs the restarts in stacked groups of at most
+``STACK_ELEMENTS // (k * n)``: the E- and M-step kernels take any leading
+restart axes, so a group costs one kernel call per iteration, where at small
+n a call is mostly fixed numpy overhead. Every slice of a stacked call is
+computed exactly as it would be alone, and a group step that fails for any
+member is replayed restart by restart, so results and errors do not depend
+on the grouping. The long phase is a group of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +41,9 @@ from .errors import AllRestartsDegenerate, EmptyCluster, SingularCovariance, Too
 LOG_2PI = math.log(2.0 * math.pi)
 # iterations every restart runs before only the best one continues
 SHORT_ITER = 20
+# largest k * n * restarts one stacked short-phase step may cover: wider
+# stacks save little per-call overhead and cost temporaries of that size
+STACK_ELEMENTS = 2**14
 # the fewest points per mixture component a fit accepts
 POINTS_PER_COMPONENT = 4
 
@@ -148,14 +159,15 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def _cholesky(covs: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (k, 3, 3) stack. A component that does not
+    """Lower Cholesky factors of a (..., 3, 3) stack. A matrix that does not
     factor is retried once with a tiny trace-scaled bump."""
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         pass
-    out = np.empty_like(covs)
-    for j, cov in enumerate(covs):
+    flat = covs.reshape(-1, 3, 3)
+    out = np.empty_like(flat)
+    for j, cov in enumerate(flat):
         try:
             out[j] = np.linalg.cholesky(cov)
             continue
@@ -169,29 +181,38 @@ def _cholesky(covs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise SingularCovariance(
                 "covariance not positive definite after regularization") from None
-    return out
+    return out.reshape(covs.shape)
+
+
+def _e_stack(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
+             X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed responsibilities (..., k, n) and log-likelihoods (...) from
+    packed parameters with any leading restart axes: weights (..., k), means
+    (..., k, 3), covariances (..., k, 3, 3). Each slice is computed exactly as
+    it would be alone."""
+    L = _cholesky(covs)
+    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
+    # forward substitution z = L^-1 (x - mean), broadcast (..., k, n)
+    z0 = (x0 - means[..., 0, None]) / L[..., 0, 0, None]
+    z1 = (x1 - means[..., 1, None] - L[..., 1, 0, None] * z0) / L[..., 1, 1, None]
+    z2 = (x2 - means[..., 2, None] - L[..., 2, 0, None] * z0
+          - L[..., 2, 1, None] * z1) / L[..., 2, 2, None]
+    quad = z0 * z0 + z1 * z1 + z2 * z2                 # (..., k, n)
+    half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
+    logp = quad
+    logp *= -0.5
+    logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
+    # max-shifted log-sum-exp over components
+    shift = logp.max(axis=-2)
+    norm = shift + np.log(np.exp(logp - shift[..., None, :]).sum(axis=-2))
+    return np.exp(logp - norm[..., None, :]), norm.sum(axis=-1)
 
 
 def _e_core(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
             X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Responsibilities and log-likelihood from packed parameters."""
-    L = _cholesky(covs)
-    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
-    # forward substitution z = L^-1 (x - mean), broadcast (k, n)
-    z0 = (x0 - means[:, 0][:, None]) / L[:, 0, 0][:, None]
-    z1 = (x1 - means[:, 1][:, None] - L[:, 1, 0][:, None] * z0) / L[:, 1, 1][:, None]
-    z2 = (x2 - means[:, 2][:, None] - L[:, 2, 0][:, None] * z0
-          - L[:, 2, 1][:, None] * z1) / L[:, 2, 2][:, None]
-    quad = z0 * z0 + z1 * z1 + z2 * z2                 # (k, n)
-    half_logdet = np.log(L[:, 0, 0]) + np.log(L[:, 1, 1]) + np.log(L[:, 2, 2])
-    logp = quad
-    logp *= -0.5
-    logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[:, None]
-    # max-shifted log-sum-exp over components
-    shift = logp.max(axis=0)
-    norm = shift + np.log(np.exp(logp - shift[None, :]).sum(axis=0))
-    resp = np.exp(logp - norm[None, :]).T              # (n, k)
-    return resp, float(norm.sum())
+    """Responsibilities (n, k) and log-likelihood from packed parameters."""
+    respT, ll = _e_stack(weights, means, covs, X)
+    return respT.T, float(ll)
 
 
 def _xx_features(X: np.ndarray) -> np.ndarray:
@@ -199,26 +220,34 @@ def _xx_features(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], 9)
 
 
-def _m_core(X: np.ndarray, resp: np.ndarray, ridge: float,
-            xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted ML update of (weights, means, covariances), ridge applied;
-    ``xx`` is ``_xx_features(X)``."""
+def _m_stack(X: np.ndarray, respT: np.ndarray, ridge: float,
+             xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted ML update of (weights, means, covariances), ridge applied, from
+    transposed responsibilities (..., k, n) with any leading restart axes;
+    ``xx`` is ``_xx_features(X)``. Each slice is computed exactly as it would
+    be alone. The mass is checked before anything divides by it."""
     n = X.shape[0]
-    mass = resp.sum(axis=0)
+    mass = respT.sum(axis=-1)
     if np.any(mass < 10.0 * np.finfo(np.float64).eps * n):
-        j = int(np.argmin(mass))
-        raise EmptyCluster(f"component {j} has responsibility mass {mass[j]:.3e}")
+        low = np.unravel_index(np.argmin(mass), mass.shape)
+        raise EmptyCluster(f"component {low[-1]} has responsibility mass {mass[low]:.3e}")
     weights = mass / n
-    means = (resp.T @ X) / mass[:, None]
-    second = (resp.T @ xx).reshape(-1, 3, 3) / mass[:, None, None]
-    covs = second - means[:, :, None] * means[:, None, :]
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    trace = covs[:, 0, 0] + covs[:, 1, 1] + covs[:, 2, 2]
-    covs = covs + (ridge * (trace / 3.0))[:, None, None] * np.eye(3)[None, :, :]
-    var = np.stack([covs[:, 0, 0], covs[:, 1, 1], covs[:, 2, 2]], axis=1)
+    means = (respT @ X) / mass[..., None]
+    second = (respT @ xx).reshape(mass.shape + (3, 3)) / mass[..., None, None]
+    covs = second - means[..., :, None] * means[..., None, :]
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    trace = covs[..., 0, 0] + covs[..., 1, 1] + covs[..., 2, 2]
+    covs = covs + (ridge * (trace / 3.0))[..., None, None] * np.eye(3)
+    var = np.diagonal(covs, axis1=-2, axis2=-1)
     if np.any(var <= 0) or not np.all(np.isfinite(covs)):
         raise SingularCovariance("a component collapsed to zero or non-finite variance")
     return weights, means, covs
+
+
+def _m_core(X: np.ndarray, resp: np.ndarray, ridge: float,
+            xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted ML update from (n, k) responsibilities; see ``_m_stack``."""
+    return _m_stack(X, resp.T, ridge, xx)
 
 
 def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,19 +328,26 @@ def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return Z[chosen]
 
 
-def _init_params(X: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
-                 ridge: float):
-    """Seed k centers on standardized data, hard-assign, one M-step."""
-    mu = X.mean(axis=0)
+def _standardize(X: np.ndarray) -> np.ndarray:
+    """Columns scaled to zero mean and unit variance (a constant column to zero)."""
     sd = X.std(axis=0)
-    sd = np.where(sd > 0, sd, 1.0)
-    Z = (X - mu) / sd
+    return (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+
+
+def _seed_resp(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One-hot (n, k) responsibilities: each row of the standardized data
+    ``Z`` goes to the nearest of k seeded centers."""
     centers = _seed_centers(Z, k, rng)
     d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    hard = np.argmin(d2, axis=1)
-    resp = np.zeros((X.shape[0], k))
-    resp[np.arange(X.shape[0]), hard] = 1.0
-    return _m_core(X, resp, ridge, xx)
+    resp = np.zeros((Z.shape[0], k))
+    resp[np.arange(Z.shape[0]), np.argmin(d2, axis=1)] = 1.0
+    return resp
+
+
+def _init_params(X: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
+                 ridge: float):
+    """One restart's initial parameters: seed, hard-assign, one M-step."""
+    return _m_core(X, _seed_resp(_standardize(X), k, rng), ridge, xx)
 
 
 def _rel_scale(ll: float) -> float:
@@ -320,35 +356,78 @@ def _rel_scale(ll: float) -> float:
 
 @dataclass(eq=False)
 class _Restart:
-    """EM state of one restart; ``resp`` and ``ll`` always describe ``params``."""
+    """EM state of one restart. Until its first step ``resp`` is the seeding's
+    one-hot assignment and ``trace`` is empty; from then on ``resp`` and ``ll``
+    describe ``params``. ``failure`` is the error that ended the restart."""
 
     index: int
-    params: tuple[np.ndarray, np.ndarray, np.ndarray]
     resp: np.ndarray
-    ll: float
-    trace: list[float]
+    params: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    ll: float = -math.inf
+    trace: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     decrease: float = 0.0
+    failure: str | None = None
 
 
-def _iterate(X: np.ndarray, xx: np.ndarray, run: _Restart, config: EmConfig,
+def _em_steps(X: np.ndarray, xx: np.ndarray, resps: list[np.ndarray], ridge: float) -> list:
+    """One M-step then one E-step from each (n, k) responsibility matrix in
+    ``resps``: per member, (params, resp, ll) or the EmptyCluster or
+    SingularCovariance its step raised.
+
+    Several members run as one stacked kernel call, and each result is copied
+    out of the stack. If the stacked step fails for any member, every member
+    is replayed on its own, so results and errors are exactly those of
+    single-restart steps.
+    """
+    if len(resps) > 1:
+        try:
+            weights, means, covs = _m_stack(X, np.stack([r.T for r in resps]), ridge, xx)
+            respT, ll = _e_stack(weights, means, covs, X)
+        except (EmptyCluster, SingularCovariance):
+            pass
+        else:
+            return [((weights[i].copy(), means[i].copy(), covs[i].copy()),
+                     respT[i].copy().T, float(ll[i])) for i in range(len(resps))]
+    out = []
+    for resp in resps:
+        try:
+            params = _m_core(X, resp, ridge, xx)
+            out.append((params, *_e_core(*params, X)))
+        except (EmptyCluster, SingularCovariance) as exc:
+            out.append(exc)
+    return out
+
+
+def _iterate(X: np.ndarray, xx: np.ndarray, runs: list[_Restart], config: EmConfig,
              until: int) -> None:
-    """Advance ``run`` by M-step/E-step pairs until it converges or has made
-    ``until`` iterations in total.
+    """Advance each of ``runs`` by M-step/E-step pairs until it converges,
+    fails or has made ``until`` iterations in total. The runs still going
+    advance together, one ``_em_steps`` call per iteration. A run's first
+    step starts it from its seeding and is not counted as an iteration.
 
     Converged means the log-likelihood gained no more than ``tol`` relative
     to the previous E-step. ``run.decrease`` tracks the largest drop between
     consecutive E-steps.
     """
-    while not run.converged and run.iterations < until:
-        params = _m_core(X, run.resp, config.ridge, xx)
-        resp, ll = _e_core(*params, X)
-        run.trace.append(ll)
-        run.decrease = max(run.decrease, run.ll - ll)
-        run.converged = (ll - run.ll) <= config.tol * _rel_scale(run.ll)
-        run.params, run.resp, run.ll = params, resp, ll
-        run.iterations += 1
+    while True:
+        active = [run for run in runs
+                  if run.failure is None and not run.converged and run.iterations < until]
+        if not active:
+            return
+        for run, step in zip(active, _em_steps(X, xx, [run.resp for run in active],
+                                               config.ridge)):
+            if isinstance(step, Exception):
+                run.failure = str(step)
+                continue
+            params, resp, ll = step
+            if run.trace:
+                run.decrease = max(run.decrease, run.ll - ll)
+                run.converged = (ll - run.ll) <= config.tol * _rel_scale(run.ll)
+                run.iterations += 1
+            run.trace.append(ll)
+            run.params, run.resp, run.ll = params, resp, ll
 
 
 def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
@@ -377,25 +456,20 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     shift = X.mean(axis=0)
     Xc = X - shift
     xx = _xx_features(Xc)
+    Z = _standardize(Xc)
+    width = max(1, STACK_ELEMENTS // (k * n))
     runs: list[_Restart] = []
-    failures: list[str] = []
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        try:
-            params = _init_params(Xc, xx, k, rng, config.ridge)
-            resp, ll = _e_core(*params, Xc)
-            run = _Restart(restart, params, resp, ll, [ll])
-            _iterate(Xc, xx, run, config, min(SHORT_ITER, config.max_iter))
-        except (EmptyCluster, SingularCovariance) as exc:
-            failures.append(f"restart {restart}: {exc}")
-            continue
-        runs.append(run)
+    for start in range(0, config.restarts, width):
+        group = [_Restart(r, _seed_resp(Z, k, np.random.default_rng([config.seed, r])))
+                 for r in range(start, min(start + width, config.restarts))]
+        _iterate(Xc, xx, group, config, min(SHORT_ITER, config.max_iter))
+        runs += group
+    failed = [run for run in runs if run.failure is not None]
     # the sort is stable, so equal log-likelihoods keep restart order
-    for run in sorted(runs, key=lambda r: -r.ll):
-        try:
-            _iterate(Xc, xx, run, config, config.max_iter)
-        except (EmptyCluster, SingularCovariance) as exc:
-            failures.append(f"restart {run.index}: {exc}")
+    ranked = sorted((run for run in runs if run.failure is None), key=lambda r: -r.ll)
+    for run in ranked:
+        _iterate(Xc, xx, [run], config, config.max_iter)
+        if run.failure is not None:
             continue
         weights, means, covs = run.params
         return FittedMixture(
@@ -410,7 +484,8 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
             ll_decrease_max=run.decrease,
         )
     raise AllRestartsDegenerate(
-        f"all {config.restarts} restarts degenerate: " + "; ".join(failures)
+        f"all {config.restarts} restarts degenerate: "
+        + "; ".join(f"restart {run.index}: {run.failure}" for run in failed + ranked)
     )
 
 

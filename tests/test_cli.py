@@ -299,6 +299,25 @@ def test_bad_em_value_is_validation_error(pitcher_csv, tmp_path, capsys, key, va
     assert not out.exists()
 
 
+MISTYPED_CONFIG = [("em", "restarts", "8"), ("em", "restarts", 2.5), ("em", "seed", 1.5),
+                   ("em", "restarts", None), ("em", "tol", True),
+                   ("labels", "sidespin_band", "60"), ("selection", "penalty_scale", True),
+                   ("schema", "delimiter", 5)]
+
+
+@pytest.mark.parametrize("section,key,value", MISTYPED_CONFIG)
+def test_config_value_of_wrong_type_is_validation_error(pitcher_csv, tmp_path, capsys,
+                                                        section, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(pitcher_csv), "--config", str(cfg), "--kmax", "3",
+                 "--out", str(out)])
+    assert code == 4
+    assert f"error: config {section}.{key}: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_columns_unknown_field_is_validation_error(pitcher_csv, tmp_path, capsys):
     code = main(["fit", "--input", str(pitcher_csv), "--columns", "speed=velo",
                  "--out", str(tmp_path / "m.json")])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,20 +261,25 @@ def test_ll_decrease_max_is_largest_drop_in_trace():
     assert fit.ll_decrease_max == max(drops) > 0
 
 
-def _fail_after_short_phase(monkeypatch, restarts, fail_calls):
-    """Make _m_core raise EmptyCluster on the given calls after the short
-    phase (call 1 is the winner's first long-phase M-step), assuming no
-    restart converges within SHORT_ITER."""
-    real = mixture._m_core
+def _fail_after_short_phase(monkeypatch, fail_calls):
+    """Make _m_core raise EmptyCluster on the given calls of the long phase
+    (call 1 is the winner's first long-phase M-step). The long phase is the
+    _iterate call whose budget is max_iter, which here exceeds SHORT_ITER."""
+    real_iterate, real_m_core = mixture._iterate, mixture._m_core
     count = [0]
 
     def m_core(*args, **kwargs):
         count[0] += 1
-        if count[0] - restarts * (SHORT_ITER + 1) in fail_calls:
+        if count[0] in fail_calls:
             raise EmptyCluster("injected")
-        return real(*args, **kwargs)
+        return real_m_core(*args, **kwargs)
 
-    monkeypatch.setattr(mixture, "_m_core", m_core)
+    def iterate(X, xx, runs, config, until):
+        if until == config.max_iter:
+            monkeypatch.setattr(mixture, "_m_core", m_core)
+        return real_iterate(X, xx, runs, config, until)
+
+    monkeypatch.setattr(mixture, "_iterate", iterate)
 
 
 def test_long_phase_failure_continues_next_best_restart(monkeypatch):
@@ -283,18 +289,131 @@ def test_long_phase_failure_continues_next_best_restart(monkeypatch):
     assert all(f is not None and f.iterations > SHORT_ITER for f in ref)
     # short-phase ranking: the log-likelihood after SHORT_ITER iterations
     order = sorted(range(3), key=lambda r: -ref[r].ll_trace[SHORT_ITER])
-    _fail_after_short_phase(monkeypatch, 3, {1})
+    _fail_after_short_phase(monkeypatch, {1})
     assert_fits_identical(fit_em(ds, 6, config), ref[order[1]])
 
 
 def test_long_phase_failures_exhaust_every_restart(monkeypatch):
     ds, _, _ = archetype_pitcher(400, seed=11)
     # every long phase fails at its first M-step
-    _fail_after_short_phase(monkeypatch, 3, {1, 2, 3})
+    _fail_after_short_phase(monkeypatch, {1, 2, 3})
     with pytest.raises(AllRestartsDegenerate) as info:
         fit_em(ds, 6, EmConfig(seed=0, restarts=3))
     message = str(info.value)
     assert all(f"restart {r}: injected" in message for r in range(3))
+
+
+# ---------------------------------------------------------- stacked restarts
+
+def _archetype_subset(n, seed):
+    """An 80% subsample of an archetype pitcher, as a stability replication fits."""
+    X = archetype_pitcher(n, seed=seed)[0].to_matrix()
+    return X[np.random.default_rng(seed).permutation(n)[:int(0.8 * n)]]
+
+
+def _outlier_data(seed):
+    """100 spread rows plus two far points repeated 8 times each: some
+    restarts collapse a component onto a repeated point mid-short-phase."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.normal(size=(100, 3)) * [2, 10, 10],
+                      np.repeat(rng.normal(size=(2, 3)) * [2, 10, 10] + [6, 30, -30],
+                                8, axis=0)])
+
+
+def _duplicated_data():
+    """10 distinct rows, 30 copies each."""
+    rng = np.random.default_rng(0)
+    return np.repeat(rng.normal(size=(10, 3)) * [2, 10, 10] + [90, 50, 0], 30, axis=0)
+
+
+def _fit_or_message(X, k, config, stack_elements=None):
+    """The fit, or the AllRestartsDegenerate message; optionally with
+    STACK_ELEMENTS replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        if stack_elements is not None:
+            mp.setattr(mixture, "STACK_ELEMENTS", stack_elements)
+        try:
+            return fit_em(X, k, config)
+        except AllRestartsDegenerate as exc:
+            return str(exc)
+
+
+def _assert_same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+    else:
+        assert_fits_identical(a, b)
+
+
+STACK_CASES = {
+    "n120_k5": (lambda: _archetype_subset(150, 1), 5, 1),   # all 8 restarts in one group
+    "n240_k5": (lambda: _archetype_subset(300, 2), 5, 2),
+    "n240_k2": (lambda: _archetype_subset(300, 3), 2, 3),
+    "n960_k5": (lambda: _archetype_subset(1200, 4), 5, 4),  # groups of 3, 3 and 2
+    "n400_k6": (lambda: archetype_pitcher(400, seed=11)[0].to_matrix(), 6, 0),
+    "outlier_k4": (lambda: _outlier_data(6), 4, 6),         # restart 7 fails at iteration 12
+    "outlier_k2": (lambda: _outlier_data(20), 2, 20),       # restart 7 fails at iteration 9
+    "outlier_k3": (lambda: _outlier_data(27), 3, 27),       # restart 0 fails at iteration 16
+    "duplicated_k5": (lambda: _duplicated_data(), 5, 0),    # every restart fails
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_restarts_match_one_restart_per_group(case):
+    make, k, seed = STACK_CASES[case]
+    X, config = make(), EmConfig(seed=seed)
+    _assert_same_outcome(_fit_or_message(X, k, config),
+                         _fit_or_message(X, k, config, stack_elements=0))
+
+
+def test_stack_cases_fail_some_restarts_inside_a_group(monkeypatch):
+    """The outlier cases fail some, not all, restarts of a multi-restart group
+    after their first step; the duplicated case fails every restart."""
+    real = mixture._iterate
+    groups = []
+
+    def iterate(X, xx, runs, config, until):
+        real(X, xx, runs, config, until)
+        if len(runs) > 1:
+            groups.append([(run.failure is not None, run.iterations) for run in runs])
+
+    monkeypatch.setattr(mixture, "_iterate", iterate)
+    for case in ("outlier_k4", "outlier_k2", "outlier_k3"):
+        make, k, seed = STACK_CASES[case]
+        groups.clear()
+        fit_em(make(), k, EmConfig(seed=seed))
+        assert len(groups) == 1 and len(groups[0]) == 8
+        assert any(failed and iterations > 0 for failed, iterations in groups[0])
+        assert not all(failed for failed, _ in groups[0])
+    make, k, seed = STACK_CASES["duplicated_k5"]
+    message = _fit_or_message(make(), k, EmConfig(seed=seed))
+    assert isinstance(message, str)
+    assert message.startswith("all 8 restarts degenerate: restart 0: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 60), k=st.integers(1, 4), seed=st.integers(0, 10**6),
+       restarts=st.integers(1, 8), decimals=st.integers(0, 2))
+def test_stacking_is_invisible_on_small_random_data(n, k, seed, restarts, decimals):
+    # rounding repeats rows, which makes some restarts degenerate
+    X = np.round(np.random.default_rng(seed).normal(size=(n, 3)) * [2, 10, 10], decimals)
+    config = EmConfig(seed=seed, restarts=restarts)
+    _assert_same_outcome(_fit_or_message(X, k, config),
+                         _fit_or_message(X, k, config, stack_elements=0))
+
+
+def test_stack_width_keeps_peak_memory_of_one_restart_per_group():
+    X = archetype_pitcher(1500, seed=3)[0].to_matrix()
+
+    def traced_peak(stack_elements=None):
+        tracemalloc.start()
+        try:
+            _fit_or_message(X, 9, EmConfig(), stack_elements)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak() <= 1.3 * traced_peak(stack_elements=0)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
