@@ -22,10 +22,12 @@ fit time in slow convergence tails.
 The short phase runs the restarts in stacked groups of at most
 ``STACK_ELEMENTS // (k * n)``: the E- and M-step kernels take any leading
 restart axes, so a group costs one kernel call per iteration, where at small
-n a call is mostly fixed numpy overhead. Every slice of a stacked call is
-computed exactly as it would be alone, and a group step that fails for any
-member is replayed restart by restart, so results and errors do not depend
-on the grouping. The long phase is a group of one.
+n a call is mostly fixed numpy overhead. The long phase is a group of one,
+stepped by the same call. Every slice of a stacked call is computed exactly
+as it would be alone, and when a group step fails for any member, each
+member retakes it as a group of one, so results and errors do not depend on
+the grouping. Restart state stays in the kernels' transposed (k, n)
+responsibility layout, so no step transposes or copies it.
 """
 
 from __future__ import annotations
@@ -208,13 +210,6 @@ def _e_stack(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
     return np.exp(logp - norm[..., None, :]), norm.sum(axis=-1)
 
 
-def _e_core(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
-            X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Responsibilities (n, k) and log-likelihood from packed parameters."""
-    respT, ll = _e_stack(weights, means, covs, X)
-    return respT.T, float(ll)
-
-
 def _xx_features(X: np.ndarray) -> np.ndarray:
     """(n, 9) row-wise outer products x x^T, the M-step sufficient statistic."""
     return (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], 9)
@@ -242,12 +237,6 @@ def _m_stack(X: np.ndarray, respT: np.ndarray, ridge: float,
     if np.any(var <= 0) or not np.all(np.isfinite(covs)):
         raise SingularCovariance("a component collapsed to zero or non-finite variance")
     return weights, means, covs
-
-
-def _m_core(X: np.ndarray, resp: np.ndarray, ridge: float,
-            xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted ML update from (n, k) responsibilities; see ``_m_stack``."""
-    return _m_stack(X, resp.T, ridge, xx)
 
 
 def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +272,8 @@ def log_density(component: MixtureComponent, x) -> float:
         raise ValueError("x must be a 3-vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    return _e_core(np.ones(1), component.mean[None], component.covariance()[None], x[None])[1]
+    return float(_e_stack(np.ones(1), component.mean[None], component.covariance()[None],
+                          x[None])[1])
 
 
 def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, float]:
@@ -292,8 +282,8 @@ def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, fl
     responsibility(i, j) is proportional to weight_j * density_j(x_i), with
     rows normalized through the max-shifted log-sum-exp.
     """
-    X = _as_matrix(data)
-    return _e_core(*_pack(components), X)
+    respT, ll = _e_stack(*_pack(components), _as_matrix(data))
+    return respT.T, float(ll)
 
 
 def m_step(data, responsibilities: np.ndarray,
@@ -309,7 +299,7 @@ def m_step(data, responsibilities: np.ndarray,
     resp = np.asarray(responsibilities, dtype=np.float64)
     if resp.ndim != 2 or resp.shape[0] != X.shape[0]:
         raise ValueError("responsibility rows do not match data rows")
-    return list(_build_components(*_m_core(X, resp, ridge, _xx_features(X))))
+    return list(_build_components(*_m_stack(X, resp.T, ridge, _xx_features(X))))
 
 
 def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,19 +325,15 @@ def _standardize(X: np.ndarray) -> np.ndarray:
 
 
 def _seed_resp(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One-hot (n, k) responsibilities: each row of the standardized data
-    ``Z`` goes to the nearest of k seeded centers."""
+    """One-hot transposed (k, n) responsibilities: each row of the
+    standardized data ``Z`` goes to the nearest of k seeded centers."""
     centers = _seed_centers(Z, k, rng)
     d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     resp = np.zeros((Z.shape[0], k))
     resp[np.arange(Z.shape[0]), np.argmin(d2, axis=1)] = 1.0
-    return resp
-
-
-def _init_params(X: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
-                 ridge: float):
-    """One restart's initial parameters: seed, hard-assign, one M-step."""
-    return _m_core(X, _seed_resp(_standardize(X), k, rng), ridge, xx)
+    # the transpose of an (n, k) array, not a C-ordered (k, n) one: the first
+    # M-step's matmuls round differently with each memory layout
+    return resp.T
 
 
 def _rel_scale(ll: float) -> float:
@@ -356,12 +342,13 @@ def _rel_scale(ll: float) -> float:
 
 @dataclass(eq=False)
 class _Restart:
-    """EM state of one restart. Until its first step ``resp`` is the seeding's
-    one-hot assignment and ``trace`` is empty; from then on ``resp`` and ``ll``
-    describe ``params``. ``failure`` is the error that ended the restart."""
+    """EM state of one restart. ``respT`` holds transposed (k, n)
+    responsibilities: until the first step the seeding's one-hot assignment,
+    with ``trace`` empty; from then on ``respT`` and ``ll`` describe
+    ``params``. ``failure`` is the error that ended the restart."""
 
     index: int
-    resp: np.ndarray
+    respT: np.ndarray
     params: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     ll: float = -math.inf
     trace: list[float] = field(default_factory=list)
@@ -371,33 +358,25 @@ class _Restart:
     failure: str | None = None
 
 
-def _em_steps(X: np.ndarray, xx: np.ndarray, resps: list[np.ndarray], ridge: float) -> list:
-    """One M-step then one E-step from each (n, k) responsibility matrix in
-    ``resps``: per member, (params, resp, ll) or the EmptyCluster or
-    SingularCovariance its step raised.
+def _em_steps(X: np.ndarray, xx: np.ndarray, respTs: list[np.ndarray], ridge: float) -> list:
+    """One M-step then one E-step from each transposed (k, n) responsibility
+    matrix in ``respTs``: per member, (params, respT, ll) as slices of the
+    group's arrays, or the EmptyCluster or SingularCovariance its step raised.
 
-    Several members run as one stacked kernel call, and each result is copied
-    out of the stack. If the stacked step fails for any member, every member
-    is replayed on its own, so results and errors are exactly those of
-    single-restart steps.
+    The members step as one stacked kernel call. If that fails for any member
+    of a larger group, each member steps alone, so results and errors are
+    exactly those of single-restart steps.
     """
-    if len(resps) > 1:
-        try:
-            weights, means, covs = _m_stack(X, np.stack([r.T for r in resps]), ridge, xx)
-            respT, ll = _e_stack(weights, means, covs, X)
-        except (EmptyCluster, SingularCovariance):
-            pass
-        else:
-            return [((weights[i].copy(), means[i].copy(), covs[i].copy()),
-                     respT[i].copy().T, float(ll[i])) for i in range(len(resps))]
-    out = []
-    for resp in resps:
-        try:
-            params = _m_core(X, resp, ridge, xx)
-            out.append((params, *_e_core(*params, X)))
-        except (EmptyCluster, SingularCovariance) as exc:
-            out.append(exc)
-    return out
+    try:
+        stack = respTs[0][None] if len(respTs) == 1 else np.stack(respTs)
+        weights, means, covs = _m_stack(X, stack, ridge, xx)
+        respT, ll = _e_stack(weights, means, covs, X)
+    except (EmptyCluster, SingularCovariance) as exc:
+        if len(respTs) == 1:
+            return [exc]
+        return [step for r in respTs for step in _em_steps(X, xx, [r], ridge)]
+    return [((weights[i], means[i], covs[i]), respT[i], float(ll[i]))
+            for i in range(len(respTs))]
 
 
 def _iterate(X: np.ndarray, xx: np.ndarray, runs: list[_Restart], config: EmConfig,
@@ -416,18 +395,18 @@ def _iterate(X: np.ndarray, xx: np.ndarray, runs: list[_Restart], config: EmConf
                   if run.failure is None and not run.converged and run.iterations < until]
         if not active:
             return
-        for run, step in zip(active, _em_steps(X, xx, [run.resp for run in active],
+        for run, step in zip(active, _em_steps(X, xx, [run.respT for run in active],
                                                config.ridge)):
             if isinstance(step, Exception):
                 run.failure = str(step)
                 continue
-            params, resp, ll = step
+            params, respT, ll = step
             if run.trace:
                 run.decrease = max(run.decrease, run.ll - ll)
                 run.converged = (ll - run.ll) <= config.tol * _rel_scale(run.ll)
                 run.iterations += 1
             run.trace.append(ll)
-            run.params, run.resp, run.ll = params, resp, ll
+            run.params, run.respT, run.ll = params, respT, ll
 
 
 def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
@@ -478,7 +457,7 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
             log_likelihood=run.ll,
             iterations=run.iterations,
             converged=run.converged,
-            responsibilities=run.resp,
+            responsibilities=run.respT.T,
             seed=config.seed,
             ll_trace=tuple(run.trace),
             ll_decrease_max=run.decrease,

@@ -4,8 +4,8 @@ Everything here recomputes expected values by a different route than the
 library: dense density formula with explicit det/inverse, exhaustive
 permutation search, contingency-table ARI, and a from-scratch rewrite of
 the labeling cascade. Keep these independent of the package internals,
-except ``reference_restarts``, which reuses the EM kernels to replay the
-plain schedule that runs every restart to convergence.
+except ``reference_restarts``, which reuses the seeding and the E/M kernels
+to replay the plain schedule that runs every restart to convergence.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from pitchmbc.errors import EmptyCluster, SingularCovariance
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
-                              _e_core, _init_params, _m_core, _xx_features)
+                              _e_stack, _m_stack, _seed_resp, _standardize, _xx_features)
 
 
 def dense_mvn_logpdf(x, mean, cov) -> float:
@@ -148,28 +148,32 @@ def assert_fits_identical(f1: FittedMixture, f2: FittedMixture) -> None:
 def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None]:
     """Every restart run to convergence or max_iter on its own, in restart
     order; None for a restart that hit an empty cluster or a singular
-    covariance."""
+    covariance. Each restart is seeded, then alternates single-restart
+    ``_e_stack``/``_m_stack`` calls (no leading restart axis)."""
     X = np.asarray(X.to_matrix() if hasattr(X, "to_matrix") else X, dtype=float)
     shift = X.mean(axis=0)
     Xc = X - shift
     xx = _xx_features(Xc)
+    Z = _standardize(Xc)
     out: list[FittedMixture | None] = []
     for restart in range(max(1, config.restarts)):
         rng = np.random.default_rng([config.seed, restart])
         try:
-            params = _init_params(Xc, xx, k, rng, config.ridge)
+            params = _m_stack(Xc, _seed_resp(Z, k, rng), config.ridge, xx)
             trace, prev, converged, iterations = [], None, False, 0
             for _ in range(config.max_iter):
-                resp, ll = _e_core(*params, Xc)
+                respT, ll = _e_stack(*params, Xc)
+                ll = float(ll)
                 trace.append(ll)
                 if prev is not None and ll - prev <= config.tol * (abs(prev) or 1.0):
                     converged = True
                     break
                 prev = ll
-                params = _m_core(Xc, resp, config.ridge, xx)
+                params = _m_stack(Xc, respT, config.ridge, xx)
                 iterations += 1
             else:
-                resp, ll = _e_core(*params, Xc)
+                respT, ll = _e_stack(*params, Xc)
+                ll = float(ll)
                 trace.append(ll)
         except (EmptyCluster, SingularCovariance):
             out.append(None)
@@ -178,7 +182,7 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
         out.append(FittedMixture(
             components=_build_components(weights, means + shift, covs), k=k,
             log_likelihood=ll, iterations=iterations, converged=converged,
-            responsibilities=resp, seed=config.seed, ll_trace=tuple(trace),
+            responsibilities=respT.T, seed=config.seed, ll_trace=tuple(trace),
             ll_decrease_max=max([0.0] + [a - b for a, b in zip(trace, trace[1:])])))
     return out
 

@@ -262,21 +262,22 @@ def test_ll_decrease_max_is_largest_drop_in_trace():
 
 
 def _fail_after_short_phase(monkeypatch, fail_calls):
-    """Make _m_core raise EmptyCluster on the given calls of the long phase
+    """Make _m_stack raise EmptyCluster on the given calls of the long phase
     (call 1 is the winner's first long-phase M-step). The long phase is the
-    _iterate call whose budget is max_iter, which here exceeds SHORT_ITER."""
-    real_iterate, real_m_core = mixture._iterate, mixture._m_core
+    _iterate call whose budget is max_iter, which here exceeds SHORT_ITER; it
+    steps a group of one, so each of its steps is one _m_stack call."""
+    real_iterate, real_m_stack = mixture._iterate, mixture._m_stack
     count = [0]
 
-    def m_core(*args, **kwargs):
+    def m_stack(*args, **kwargs):
         count[0] += 1
         if count[0] in fail_calls:
             raise EmptyCluster("injected")
-        return real_m_core(*args, **kwargs)
+        return real_m_stack(*args, **kwargs)
 
     def iterate(X, xx, runs, config, until):
         if until == config.max_iter:
-            monkeypatch.setattr(mixture, "_m_core", m_core)
+            monkeypatch.setattr(mixture, "_m_stack", m_stack)
         return real_iterate(X, xx, runs, config, until)
 
     monkeypatch.setattr(mixture, "_iterate", iterate)
