@@ -122,11 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    return json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config top level: expected a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _checked(where: str, values: dict, known) -> dict:
     """``values`` unchanged; a key outside ``known`` is an error naming that key."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {values!r}")
     unknown = sorted(set(values) - set(known))
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)} "
@@ -310,6 +315,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.reps < 0:
+        raise ValueError(f"--reps must be >= 0 (0 skips stability), got {args.reps}")
     settings = _fit_settings(args)
     schema, sel_cfg, _ = settings
     dataset = parse_pitch_csv(args.input, schema)

@@ -12,7 +12,8 @@ patched here; callers can force a different anchor via ``anchor_override``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -46,10 +47,13 @@ class LabelConfig:
     curveball_backspin_max: float = 0.0
 
     def __post_init__(self):
-        if self.changeup_speed_gap <= 0 or self.sidespin_band <= 0:
-            raise ValueError("changeup_speed_gap and sidespin_band must be positive")
-        if self.cutter_speed_gap <= 0 or self.knuckleball_spin_var_ratio <= 0:
-            raise ValueError("cutter_speed_gap and knuckleball_spin_var_ratio must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            # every threshold but the curveball back-spin ceiling is a positive size
+            if f.name != "curveball_backspin_max" and not (value > 0):
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,8 +59,9 @@ class SelectionConfig:
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
-        if self.penalty_scale is not None and self.penalty_scale < 0:
-            raise ValueError("penalty_scale must be >= 0")
+        scale = self.penalty_scale
+        if scale is not None and not (math.isfinite(scale) and scale >= 0):
+            raise ValueError(f"penalty_scale must be finite and >= 0, got {scale!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pitchmbc
 from pitchmbc.archive import load_archive
 from pitchmbc.cli import main
 from pitchmbc.ingest import PitchDataset, PitchRecord, parse_pitch_csv, write_pitch_csv
-from pitchmbc.labeling import PitchType
+from pitchmbc.labeling import LabelConfig, PitchType
 from pitchmbc.mixture import EmConfig
 from pitchmbc.selection import SelectionConfig, select_k
 from pitchmbc.synth import archetype_pitcher
@@ -258,25 +259,46 @@ def test_config_file_snapshot_in_archive(tmp_path):
 
 UNKNOWN_KEYS = [("em", "max_iters"), ("schema", "speed"), ("selection", "scale"),
                 ("labels", "gap")]
+# config documents that are not a JSON object where one is expected
+NOT_OBJECTS = [("top-list", [1, 2], "config top level: expected a JSON object"),
+               ("em-number", {"em": 5}, "config section 'em': expected a JSON object"),
+               ("em-list", {"em": ["restarts"]}, "config section 'em': expected a JSON object")]
 
 
-@pytest.mark.parametrize("command,section,key",
-                         [(c, s, k) for c in ("fit", "batch") for s, k in UNKNOWN_KEYS]
-                         + [("stability", s, k) for s, k in UNKNOWN_KEYS[:2]])
-def test_config_unknown_key_is_validation_error(tmp_path, capsys, command, section, key):
+def _bad_config_cases(command, unknown_keys):
+    return ([pytest.param(command, {s: {k: 5}}, [f"config section '{s}'", k],
+                          id=f"{command}-{s}-{k}") for s, k in unknown_keys]
+            + [pytest.param(command, doc, [message], id=f"{command}-{name}")
+               for name, doc, message in NOT_OBJECTS])
+
+
+@pytest.mark.parametrize("command,doc,messages",
+                         _bad_config_cases("fit", UNKNOWN_KEYS)
+                         + _bad_config_cases("batch", UNKNOWN_KEYS)
+                         + _bad_config_cases("stability", UNKNOWN_KEYS[:2]))
+def test_config_unknown_key_is_validation_error(tmp_path, capsys, command, doc, messages):
     ds, _, _ = archetype_pitcher(40, seed=3)
     data = tmp_path / "p.csv"
     write_pitch_csv(ds, data)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({section: {key: 5}}))
+    cfg.write_text(json.dumps(doc))
     out = {"fit": ["--out", str(tmp_path / "m.json")],
            "stability": ["--k", "2", "--out", str(tmp_path / "s.csv")],
            "batch": ["--outdir", str(tmp_path / "b")]}[command]
     code = main([command, "--input", str(data), "--config", str(cfg)] + out)
     assert code == 4
     err = capsys.readouterr().err
-    assert f"config section '{section}'" in err and key in err
+    assert all(message in err for message in messages)
     assert not any(tmp_path.glob("m.json")) and not (tmp_path / "b").exists()
+
+
+def _flag_or_config(tmp_path, source, section, key, value):
+    """Command-line arguments that set ``section.key`` by a flag or a config file."""
+    if source == "flag":
+        return ["--" + key.replace("_", "-"), str(value)]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}))  # json writes NaN/Infinity
+    return ["--config", str(cfg)]
 
 
 BAD_EM_VALUES = [("restarts", 0), ("restarts", -2), ("max_iter", 0), ("tol", -1.0),
@@ -286,17 +308,44 @@ BAD_EM_VALUES = [("restarts", 0), ("restarts", -2), ("max_iter", 0), ("tol", -1.
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key,value", BAD_EM_VALUES)
 def test_bad_em_value_is_validation_error(pitcher_csv, tmp_path, capsys, key, value, source):
-    if source == "flag":
-        given = ["--" + key.replace("_", "-"), str(value)]
-    else:
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"em": {key: value}}))
-        given = ["--config", str(cfg)]
     out = tmp_path / "m.json"
-    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)] + given)
+    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
+                + _flag_or_config(tmp_path, source, "em", key, value))
     assert code == 4
     assert f"error: {key} must be >= " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_bad_penalty_scale_is_validation_error(pitcher_csv, tmp_path, capsys, value, source):
+    out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
+                + _flag_or_config(tmp_path, source, "selection", "penalty_scale", value))
+    assert code == 4
+    assert "error: penalty_scale must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", [f.name for f in fields(LabelConfig)])
+def test_non_finite_label_threshold_is_validation_error(pitcher_csv, tmp_path, capsys,
+                                                        key, value, source):
+    out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
+                + _flag_or_config(tmp_path, source, "labels", key, value))
+    assert code == 4
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_batch_negative_reps_is_validation_error(pitcher_csv, tmp_path, capsys):
+    outdir = tmp_path / "b"
+    code = main(["batch", "--input", str(pitcher_csv), "--outdir", str(outdir), "--reps", "-3"])
+    assert code == 4
+    assert "error: --reps must be >= 0" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 MISTYPED_CONFIG = [("em", "restarts", "8"), ("em", "restarts", 2.5), ("em", "seed", 1.5),
