@@ -27,7 +27,8 @@ stepped by the same call. Every slice of a stacked call is computed exactly
 as it would be alone, and when a group step fails for any member, each
 member retakes it as a group of one, so results and errors do not depend on
 the grouping. Restart state stays in the kernels' transposed (k, n)
-responsibility layout, so no step transposes or copies it.
+responsibility layout, so no step transposes it, and each restart's new
+state is a slice of its group's arrays.
 """
 
 from __future__ import annotations
