@@ -45,7 +45,10 @@ MEANING_COLUMNS = ("k", "labels", "loglik", "converged", "cluster_index", "pitch
 
 def platform() -> dict:
     """What the output bytes depend on besides the code."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
             "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
