@@ -316,27 +316,22 @@ def test_bad_em_value_is_validation_error(pitcher_csv, tmp_path, capsys, key, va
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_bad_penalty_scale_is_validation_error(pitcher_csv, tmp_path, capsys, value, source):
-    out = tmp_path / "m.json"
-    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
-                + _flag_or_config(tmp_path, source, "selection", "penalty_scale", value))
-    assert code == 4
-    assert "error: penalty_scale must be finite and >= 0" in capsys.readouterr().err
-    assert not out.exists()
+BAD_SCALE_AND_LABEL_VALUES = (
+    [("selection", "penalty_scale", v, "penalty_scale must be finite and >= 0")
+     for v in (float("nan"), float("inf"), -1.0)]
+    + [("labels", f.name, v, f"{f.name} must be finite")
+       for f in fields(LabelConfig) for v in (float("nan"), float("inf"))])
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("key", [f.name for f in fields(LabelConfig)])
-def test_non_finite_label_threshold_is_validation_error(pitcher_csv, tmp_path, capsys,
-                                                        key, value, source):
+@pytest.mark.parametrize("section,key,value,message", BAD_SCALE_AND_LABEL_VALUES)
+def test_bad_scale_or_label_value_is_validation_error(pitcher_csv, tmp_path, capsys,
+                                                      section, key, value, message, source):
     out = tmp_path / "m.json"
     code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
-                + _flag_or_config(tmp_path, source, "labels", key, value))
+                + _flag_or_config(tmp_path, source, section, key, value))
     assert code == 4
-    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
