@@ -123,9 +123,7 @@ def _load_config_file(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config top level: expected a JSON object, got {cfg!r}")
-    return cfg
+    return _checked("config top level", cfg, ["schema", "em", "selection", "labels"])
 
 
 def _checked(where: str, values: dict, known) -> dict:
@@ -317,6 +315,8 @@ def cmd_plot(args) -> int:
 def cmd_batch(args) -> int:
     if args.reps < 0:
         raise ValueError(f"--reps must be >= 0 (0 skips stability), got {args.reps}")
+    if not 0.0 < args.split < 1.0:
+        raise ValueError(f"--split must lie strictly between 0 and 1, got {args.split}")
     settings = _fit_settings(args)
     schema, sel_cfg, _ = settings
     dataset = parse_pitch_csv(args.input, schema)

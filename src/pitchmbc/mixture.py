@@ -5,12 +5,14 @@ downstream: a mean vector, per-dimension standard deviations, and the
 intra-cluster correlation matrix, plus a mixture weight. The implied
 covariance is diag(stddev) @ correlation @ diag(stddev).
 
-All densities go through a Cholesky factorization; nothing inverts or takes
-the determinant of a covariance directly. The EM inner loop works on packed
-(weights, means, covariances) arrays for speed; the component dataclasses
-are built once per fit. Fits are deterministic functions of
-(data, k, config): every restart derives its generator from
-(config.seed, restart_index).
+Each fit builds one (10, n) matrix F of its centred data's sufficient
+statistics (``_features``: the six products x_a x_b, x and 1), and each EM
+step is a matmul against it. The M-step's respT @ F^T sums every component's
+mass, x and x x^T at once. The E-step forms x - mean as [I, -mean] @ [x; 1],
+exact up to one rounding, and whitens it by the inverse Cholesky factor, so
+nothing inverts a covariance. The component dataclasses are built once per
+fit. Fits are deterministic functions of (data, k, config): every restart
+derives its generator from (config.seed, restart_index).
 
 Restarts follow a two-phase short-EM schedule (Biernacki, Celeux & Govaert
 2003, CSDA 41): all restarts run SHORT_ITER iterations, then only the one
@@ -187,51 +189,57 @@ def _cholesky(covs: np.ndarray) -> np.ndarray:
     return out.reshape(covs.shape)
 
 
+def _features(X: np.ndarray) -> np.ndarray:
+    """(10, n) rows x0², x1², x2², x0x1, x0x2, x1x2, x0, x1, x2, 1 of the
+    (n, 3) data; the E-step reads the last four, [x; 1]."""
+    F = np.empty((10, X.shape[0]))
+    F[6:9], F[9] = X.T, 1.0
+    F[:6] = F[[6, 7, 8, 6, 6, 7]] * F[[6, 7, 8, 7, 8, 8]]
+    return F
+
+
 def _e_stack(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
-             X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             X1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transposed responsibilities (..., k, n) and log-likelihoods (...) from
     packed parameters with any leading restart axes: weights (..., k), means
-    (..., k, 3), covariances (..., k, 3, 3). Each slice is computed exactly as
-    it would be alone."""
+    (..., k, 3), covariances (..., k, 3, 3); ``X1`` is the (4, n) rows
+    [x; 1] of ``_features``. Each slice is computed exactly as it would be
+    alone."""
     L = _cholesky(covs)
-    x0, x1, x2 = X[:, 0], X[:, 1], X[:, 2]
-    # forward substitution z = L^-1 (x - mean), broadcast (..., k, n)
-    z0 = (x0 - means[..., 0, None]) / L[..., 0, 0, None]
-    z1 = (x1 - means[..., 1, None] - L[..., 1, 0, None] * z0) / L[..., 1, 1, None]
-    z2 = (x2 - means[..., 2, None] - L[..., 2, 0, None] * z0
-          - L[..., 2, 1, None] * z1) / L[..., 2, 2, None]
-    quad = z0 * z0 + z1 * z1 + z2 * z2                 # (..., k, n)
-    half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
-    logp = quad
+    # x - mean as one matmul [I, -mean] @ [x; 1]: its products by 1 and 0 are
+    # exact, so each difference is rounded once, as a subtraction is
+    sub = np.zeros(means.shape + (4,))
+    sub[..., :3], sub[..., 3] = np.eye(3), -means
+    # whitened z = L^-1 (x - mean), (..., k, 3, n): differencing before
+    # whitening keeps a tight component far from the origin free of cancellation
+    z = np.linalg.inv(L) @ (sub.reshape(-1, 4) @ X1).reshape(means.shape + (-1,))
+    logp = np.square(z, out=z).sum(axis=-2)
     logp *= -0.5
+    half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
     logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
     # max-shifted log-sum-exp over components
     shift = logp.max(axis=-2)
     norm = shift + np.log(np.exp(logp - shift[..., None, :]).sum(axis=-2))
-    return np.exp(logp - norm[..., None, :]), norm.sum(axis=-1)
+    logp -= norm[..., None, :]
+    return np.exp(logp, out=logp), norm.sum(axis=-1)
 
 
-def _xx_features(X: np.ndarray) -> np.ndarray:
-    """(n, 9) row-wise outer products x x^T, the M-step sufficient statistic."""
-    return (X[:, :, None] * X[:, None, :]).reshape(X.shape[0], 9)
-
-
-def _m_stack(X: np.ndarray, respT: np.ndarray, ridge: float,
-             xx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _m_stack(F: np.ndarray, respT: np.ndarray,
+             ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted ML update of (weights, means, covariances), ridge applied, from
-    transposed responsibilities (..., k, n) with any leading restart axes;
-    ``xx`` is ``_xx_features(X)``. Each slice is computed exactly as it would
-    be alone. The mass is checked before anything divides by it."""
-    n = X.shape[0]
-    mass = respT.sum(axis=-1)
+    transposed responsibilities (..., k, n) with any leading restart axes and
+    ``F = _features(X)``. Each slice is computed exactly as it would be alone.
+    The mass is checked before anything divides by it."""
+    n = F.shape[1]
+    sums = respT @ F.T                                  # (..., k, 10)
+    mass = sums[..., 9]
     if np.any(mass < 10.0 * np.finfo(np.float64).eps * n):
         low = np.unravel_index(np.argmin(mass), mass.shape)
         raise EmptyCluster(f"component {low[-1]} has responsibility mass {mass[low]:.3e}")
     weights = mass / n
-    means = (respT @ X) / mass[..., None]
-    second = (respT @ xx).reshape(mass.shape + (3, 3)) / mass[..., None, None]
+    means = sums[..., 6:9] / mass[..., None]
+    second = sums[..., [[0, 3, 4], [3, 1, 5], [4, 5, 2]]] / mass[..., None, None]
     covs = second - means[..., :, None] * means[..., None, :]
-    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     trace = covs[..., 0, 0] + covs[..., 1, 1] + covs[..., 2, 2]
     covs = covs + (ridge * (trace / 3.0))[..., None, None] * np.eye(3)
     var = np.diagonal(covs, axis1=-2, axis2=-1)
@@ -274,7 +282,7 @@ def log_density(component: MixtureComponent, x) -> float:
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     return float(_e_stack(np.ones(1), component.mean[None], component.covariance()[None],
-                          x[None])[1])
+                          _features(x[None])[6:])[1])
 
 
 def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, float]:
@@ -283,7 +291,7 @@ def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, fl
     responsibility(i, j) is proportional to weight_j * density_j(x_i), with
     rows normalized through the max-shifted log-sum-exp.
     """
-    respT, ll = _e_stack(*_pack(components), _as_matrix(data))
+    respT, ll = _e_stack(*_pack(components), _features(_as_matrix(data))[6:])
     return respT.T, float(ll)
 
 
@@ -300,7 +308,9 @@ def m_step(data, responsibilities: np.ndarray,
     resp = np.asarray(responsibilities, dtype=np.float64)
     if resp.ndim != 2 or resp.shape[0] != X.shape[0]:
         raise ValueError("responsibility rows do not match data rows")
-    return list(_build_components(*_m_stack(X, resp.T, ridge, _xx_features(X))))
+    center = X.mean(axis=0)
+    weights, means, covs = _m_stack(_features(X - center), resp.T, ridge)
+    return list(_build_components(weights, means + center, covs))
 
 
 def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -359,7 +369,7 @@ class _Restart:
     failure: str | None = None
 
 
-def _em_steps(X: np.ndarray, xx: np.ndarray, respTs: list[np.ndarray], ridge: float) -> list:
+def _em_steps(F: np.ndarray, respTs: list[np.ndarray], ridge: float) -> list:
     """One M-step then one E-step from each transposed (k, n) responsibility
     matrix in ``respTs``: per member, (params, respT, ll) as slices of the
     group's arrays, or the EmptyCluster or SingularCovariance its step raised.
@@ -370,18 +380,17 @@ def _em_steps(X: np.ndarray, xx: np.ndarray, respTs: list[np.ndarray], ridge: fl
     """
     try:
         stack = respTs[0][None] if len(respTs) == 1 else np.stack(respTs)
-        weights, means, covs = _m_stack(X, stack, ridge, xx)
-        respT, ll = _e_stack(weights, means, covs, X)
+        weights, means, covs = _m_stack(F, stack, ridge)
+        respT, ll = _e_stack(weights, means, covs, F[6:])
     except (EmptyCluster, SingularCovariance) as exc:
         if len(respTs) == 1:
             return [exc]
-        return [step for r in respTs for step in _em_steps(X, xx, [r], ridge)]
+        return [step for r in respTs for step in _em_steps(F, [r], ridge)]
     return [((weights[i], means[i], covs[i]), respT[i], float(ll[i]))
             for i in range(len(respTs))]
 
 
-def _iterate(X: np.ndarray, xx: np.ndarray, runs: list[_Restart], config: EmConfig,
-             until: int) -> None:
+def _iterate(F: np.ndarray, runs: list[_Restart], config: EmConfig, until: int) -> None:
     """Advance each of ``runs`` by M-step/E-step pairs until it converges,
     fails or has made ``until`` iterations in total. The runs still going
     advance together, one ``_em_steps`` call per iteration. A run's first
@@ -396,8 +405,7 @@ def _iterate(X: np.ndarray, xx: np.ndarray, runs: list[_Restart], config: EmConf
                   if run.failure is None and not run.converged and run.iterations < until]
         if not active:
             return
-        for run, step in zip(active, _em_steps(X, xx, [run.respT for run in active],
-                                               config.ridge)):
+        for run, step in zip(active, _em_steps(F, [run.respT for run in active], config.ridge)):
             if isinstance(step, Exception):
                 run.failure = str(step)
                 continue
@@ -432,23 +440,23 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
         raise TooFewPoints(f"n={n} cannot support k={k} "
                            f"(need at least {POINTS_PER_COMPONENT * k})")
     # fit about the grand mean: covariances are translation-invariant and the
-    # smaller magnitudes keep the sufficient-statistic M-step well conditioned
+    # smaller magnitudes keep the sufficient statistics well conditioned
     shift = X.mean(axis=0)
     Xc = X - shift
-    xx = _xx_features(Xc)
+    F = _features(Xc)
     Z = _standardize(Xc)
     width = max(1, STACK_ELEMENTS // (k * n))
     runs: list[_Restart] = []
     for start in range(0, config.restarts, width):
         group = [_Restart(r, _seed_resp(Z, k, np.random.default_rng([config.seed, r])))
                  for r in range(start, min(start + width, config.restarts))]
-        _iterate(Xc, xx, group, config, min(SHORT_ITER, config.max_iter))
+        _iterate(F, group, config, min(SHORT_ITER, config.max_iter))
         runs += group
     failed = [run for run in runs if run.failure is not None]
     # the sort is stable, so equal log-likelihoods keep restart order
     ranked = sorted((run for run in runs if run.failure is None), key=lambda r: -r.ll)
     for run in ranked:
-        _iterate(Xc, xx, [run], config, config.max_iter)
+        _iterate(F, [run], config, config.max_iter)
         if run.failure is not None:
             continue
         weights, means, covs = run.params

@@ -17,7 +17,7 @@ import numpy as np
 
 from pitchmbc.errors import EmptyCluster, SingularCovariance
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
-                              _e_stack, _m_stack, _seed_resp, _standardize, _xx_features)
+                              _e_stack, _features, _m_stack, _seed_resp, _standardize)
 
 
 def dense_mvn_logpdf(x, mean, cov) -> float:
@@ -153,26 +153,26 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
     X = np.asarray(X.to_matrix() if hasattr(X, "to_matrix") else X, dtype=float)
     shift = X.mean(axis=0)
     Xc = X - shift
-    xx = _xx_features(Xc)
+    F = _features(Xc)
     Z = _standardize(Xc)
     out: list[FittedMixture | None] = []
     for restart in range(max(1, config.restarts)):
         rng = np.random.default_rng([config.seed, restart])
         try:
-            params = _m_stack(Xc, _seed_resp(Z, k, rng), config.ridge, xx)
+            params = _m_stack(F, _seed_resp(Z, k, rng), config.ridge)
             trace, prev, converged, iterations = [], None, False, 0
             for _ in range(config.max_iter):
-                respT, ll = _e_stack(*params, Xc)
+                respT, ll = _e_stack(*params, F[6:])
                 ll = float(ll)
                 trace.append(ll)
                 if prev is not None and ll - prev <= config.tol * (abs(prev) or 1.0):
                     converged = True
                     break
                 prev = ll
-                params = _m_stack(Xc, respT, config.ridge, xx)
+                params = _m_stack(F, respT, config.ridge)
                 iterations += 1
             else:
-                respT, ll = _e_stack(*params, Xc)
+                respT, ll = _e_stack(*params, F[6:])
                 ll = float(ll)
                 trace.append(ll)
         except (EmptyCluster, SingularCovariance):

@@ -269,7 +269,12 @@ def _bad_config_cases(command, unknown_keys):
     return ([pytest.param(command, {s: {k: 5}}, [f"config section '{s}'", k],
                           id=f"{command}-{s}-{k}") for s, k in unknown_keys]
             + [pytest.param(command, doc, [message], id=f"{command}-{name}")
-               for name, doc, message in NOT_OBJECTS])
+               for name, doc, message in NOT_OBJECTS]
+            # a misspelled section name, which would otherwise leave the defaults on
+            + [pytest.param(command, {"emm": {"restarts": 0}},
+                            ["config top level: unknown key(s) emm",
+                             "(known: schema, em, selection, labels)"],
+                            id=f"{command}-unknown-section")])
 
 
 @pytest.mark.parametrize("command,doc,messages",
@@ -340,6 +345,17 @@ def test_batch_negative_reps_is_validation_error(pitcher_csv, tmp_path, capsys):
     code = main(["batch", "--input", str(pitcher_csv), "--outdir", str(outdir), "--reps", "-3"])
     assert code == 4
     assert "error: --reps must be >= 0" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("split", ["1.5", "0", "1", "-0.2", "nan"])
+def test_batch_split_outside_unit_interval_fails_before_any_fit(pitcher_csv, tmp_path,
+                                                                 capsys, split):
+    outdir = tmp_path / "b"
+    code = main(["batch", "--input", str(pitcher_csv), "--outdir", str(outdir),
+                 "--split", split])
+    assert code == 4
+    assert "error: --split must lie strictly between 0 and 1" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -11,8 +11,8 @@ from helpers import (assert_fits_identical, dense_mvn_logpdf, make_component,
 from pitchmbc import mixture
 from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovariance,
                              TooFewPoints)
-from pitchmbc.mixture import (SHORT_ITER, EmConfig, FittedMixture, e_step, fit_em,
-                              log_density, m_step, param_count, posterior_assign)
+from pitchmbc.mixture import (SHORT_ITER, EmConfig, FittedMixture, MixtureComponent, e_step,
+                              fit_em, log_density, m_step, param_count, posterior_assign)
 from pitchmbc.selection import SelectionConfig, choose_best, select_k
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs, three_separated_gaussians
 
@@ -91,20 +91,57 @@ def test_e_step_symmetric_midpoint():
     assert resp[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_e_step_matches_bruteforce_per_point():
-    rng = np.random.default_rng(77)
-    comps = [random_spd_component(10, weight=0.35), random_spd_component(11, weight=0.65)]
-    X = rng.uniform(-30, 90, size=(5, 3))
+def _assert_e_step_matches_dense_formula(comps, X):
+    """e_step against direct per-point normalization through the dense
+    density formula."""
     resp, ll = e_step(comps, X)
-    # direct per-point normalization through the dense density formula
     expect_ll = 0.0
     for i, x in enumerate(X):
-        dens = np.array([c.weight * math.exp(dense_mvn_logpdf(x, c.mean, c.covariance()))
+        logw = np.array([math.log(c.weight) + dense_mvn_logpdf(x, c.mean, c.covariance())
                          for c in comps])
-        expect_ll += math.log(dens.sum())
+        dens = np.exp(logw - logw.max())
+        expect_ll += logw.max() + math.log(dens.sum())
         np.testing.assert_allclose(resp[i], dens / dens.sum(), rtol=1e-12, atol=1e-15)
     assert ll == pytest.approx(expect_ll, rel=1e-12)
     np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-10)
+
+
+def test_e_step_matches_bruteforce_per_point():
+    rng = np.random.default_rng(77)
+    comps = [random_spd_component(10, weight=0.35), random_spd_component(11, weight=0.65)]
+    _assert_e_step_matches_dense_formula(comps, rng.uniform(-30, 90, size=(5, 3)))
+
+
+def _tight_far_component(rng, weight):
+    """Raw mph/spin values: stddevs 1e-3 to 0.3 of the column scale, a mean up
+    to 3 scales from the middle, two correlations of 0.5-0.9 in size."""
+    scale = np.array([5.0, 80.0, 80.0])
+    mean = np.array([88.0, 40.0, -10.0]) + rng.uniform(-3, 3, 3) * scale
+    r01, r02 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 0.9, 2)
+    # a partial correlation inside (-1, 1) keeps the matrix positive definite
+    r12 = r01 * r02 + rng.uniform(-0.9, 0.9) * math.sqrt((1 - r01**2) * (1 - r02**2))
+    corr = np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
+    return MixtureComponent(mean, scale * 10 ** rng.uniform(-3, -0.5, 3), corr, weight)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_tight_components_far_from_centre_match_dense_formula(seed, k):
+    # a density expanded into x x^T, x and 1 terms cancels to nothing here
+    rng = np.random.default_rng(seed)
+    comps = [_tight_far_component(rng, 1.0 / k) for _ in range(k)]
+    X = np.vstack([rng.multivariate_normal(c.mean, c.covariance(), size=3) for c in comps])
+    # the kernel as fit_em calls it, about the grand mean
+    center = X.mean(axis=0)
+    X1 = mixture._features(X - center)[6:]
+    for c in comps:
+        for i, x in enumerate(X):
+            _, got = mixture._e_stack(np.ones(1), (c.mean - center)[None],
+                                      c.covariance()[None], X1[:, i:i + 1])
+            assert float(got) == pytest.approx(
+                dense_mvn_logpdf(x, c.mean, c.covariance()), rel=1e-10)
+    # the public e_step on the raw, uncentred values
+    _assert_e_step_matches_dense_formula(comps, X)
 
 
 # -------------------------------------------------------------------- m_step
@@ -275,10 +312,10 @@ def _fail_after_short_phase(monkeypatch, fail_calls):
             raise EmptyCluster("injected")
         return real_m_stack(*args, **kwargs)
 
-    def iterate(X, xx, runs, config, until):
+    def iterate(F, runs, config, until):
         if until == config.max_iter:
             monkeypatch.setattr(mixture, "_m_stack", m_stack)
-        return real_iterate(X, xx, runs, config, until)
+        return real_iterate(F, runs, config, until)
 
     monkeypatch.setattr(mixture, "_iterate", iterate)
 
@@ -373,8 +410,8 @@ def test_stack_cases_fail_some_restarts_inside_a_group(monkeypatch):
     real = mixture._iterate
     groups = []
 
-    def iterate(X, xx, runs, config, until):
-        real(X, xx, runs, config, until)
+    def iterate(F, runs, config, until):
+        real(F, runs, config, until)
         if len(runs) > 1:
             groups.append([(run.failure is not None, run.iterations) for run in runs])
 
