@@ -127,7 +127,7 @@ def _tight_far_component(rng, weight):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_tight_components_far_from_centre_match_dense_formula(seed, k):
-    # a density expanded into x x^T, x and 1 terms cancels to nothing here
+    # a quadratic form expanded into x x^T, x and 1 terms loses its digits here
     rng = np.random.default_rng(seed)
     comps = [_tight_far_component(rng, 1.0 / k) for _ in range(k)]
     X = np.vstack([rng.multivariate_normal(c.mean, c.covariance(), size=3) for c in comps])
