@@ -99,6 +99,9 @@ def load_archive(path) -> ModelArchive:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"not a model archive: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ArchiveError(f"not a model archive: top level is {type(doc).__name__}, "
+                           f"not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveVersionMismatch(version, FORMAT_VERSION)

@@ -319,7 +319,7 @@ def cmd_batch(args) -> int:
         raise ValueError(f"--split must lie strictly between 0 and 1, got {args.split}")
     settings = _fit_settings(args)
     schema, sel_cfg, _ = settings
-    dataset = parse_pitch_csv(args.input, schema)
+    dataset = _load_dataset(args, schema, single_pitcher=False)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

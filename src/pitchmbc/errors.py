@@ -40,7 +40,7 @@ class FitError(PitchMbcError):
 
 
 class SingularCovariance(FitError):
-    """A component covariance could not be factorized, even after regularization."""
+    """A component covariance collapsed or could not be factorized."""
 
 
 class EmptyCluster(FitError):

@@ -165,28 +165,12 @@ def _as_matrix(data) -> np.ndarray:
 
 def _cholesky(covs: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (..., 3, 3) stack. A matrix that does not
-    factor is retried once with a tiny trace-scaled bump."""
+    factor raises SingularCovariance: ``_m_stack``'s ridge is the only
+    regularizer."""
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        pass
-    flat = covs.reshape(-1, 3, 3)
-    out = np.empty_like(flat)
-    for j, cov in enumerate(flat):
-        try:
-            out[j] = np.linalg.cholesky(cov)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        bump = 1e-10 * (np.trace(cov) / 3.0)
-        if not (np.isfinite(bump) and bump > 0):
-            raise SingularCovariance("covariance has non-positive trace")
-        try:
-            out[j] = np.linalg.cholesky(cov + bump * np.eye(3))
-        except np.linalg.LinAlgError:
-            raise SingularCovariance(
-                "covariance not positive definite after regularization") from None
-    return out.reshape(covs.shape)
+        raise SingularCovariance("covariance not positive definite") from None
 
 
 def _features(X: np.ndarray) -> np.ndarray:
@@ -252,7 +236,7 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(stddev, correlation) from a covariance, cleaned up to exact invariants."""
     stddev = np.sqrt(np.diag(cov))
     corr = cov / np.outer(stddev, stddev)
-    corr = np.clip(0.5 * (corr + corr.T), -1.0, 1.0)
+    corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return stddev, corr
 
@@ -347,25 +331,20 @@ def _seed_resp(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return resp.T
 
 
-def _rel_scale(ll: float) -> float:
-    return abs(ll) if ll != 0.0 else 1.0
-
-
 @dataclass(eq=False)
 class _Restart:
     """EM state of one restart. ``respT`` holds transposed (k, n)
     responsibilities: until the first step the seeding's one-hot assignment,
-    with ``trace`` empty; from then on ``respT`` and ``ll`` describe
-    ``params``. ``failure`` is the error that ended the restart."""
+    with ``trace`` empty; from then on ``respT`` and ``trace[-1]`` describe
+    ``params``. ``trace`` holds the log-likelihood of every step, so the
+    restart has made ``len(trace) - 1`` iterations. ``failure`` is the error
+    that ended the restart."""
 
     index: int
     respT: np.ndarray
     params: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    ll: float = -math.inf
     trace: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
-    decrease: float = 0.0
     failure: str | None = None
 
 
@@ -397,25 +376,22 @@ def _iterate(F: np.ndarray, runs: list[_Restart], config: EmConfig, until: int) 
     step starts it from its seeding and is not counted as an iteration.
 
     Converged means the log-likelihood gained no more than ``tol`` relative
-    to the previous E-step. ``run.decrease`` tracks the largest drop between
-    consecutive E-steps.
+    to the previous E-step.
     """
     while True:
         active = [run for run in runs
-                  if run.failure is None and not run.converged and run.iterations < until]
+                  if run.failure is None and not run.converged and len(run.trace) <= until]
         if not active:
             return
         for run, step in zip(active, _em_steps(F, [run.respT for run in active], config.ridge)):
             if isinstance(step, Exception):
                 run.failure = str(step)
                 continue
-            params, respT, ll = step
+            run.params, run.respT, ll = step
             if run.trace:
-                run.decrease = max(run.decrease, run.ll - ll)
-                run.converged = (ll - run.ll) <= config.tol * _rel_scale(run.ll)
-                run.iterations += 1
+                prev = run.trace[-1]
+                run.converged = (ll - prev) <= config.tol * (abs(prev) or 1.0)
             run.trace.append(ll)
-            run.params, run.respT, run.ll = params, respT, ll
 
 
 def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
@@ -454,22 +430,23 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
         runs += group
     failed = [run for run in runs if run.failure is not None]
     # the sort is stable, so equal log-likelihoods keep restart order
-    ranked = sorted((run for run in runs if run.failure is None), key=lambda r: -r.ll)
+    ranked = sorted((run for run in runs if run.failure is None), key=lambda r: -r.trace[-1])
     for run in ranked:
         _iterate(F, [run], config, config.max_iter)
         if run.failure is not None:
             continue
         weights, means, covs = run.params
+        trace = run.trace
         return FittedMixture(
             components=_build_components(weights, means + shift, covs),
             k=k,
-            log_likelihood=run.ll,
-            iterations=run.iterations,
+            log_likelihood=trace[-1],
+            iterations=len(trace) - 1,
             converged=run.converged,
             responsibilities=run.respT.T,
             seed=config.seed,
-            ll_trace=tuple(run.trace),
-            ll_decrease_max=run.decrease,
+            ll_trace=tuple(trace),
+            ll_decrease_max=max([0.0] + [a - b for a, b in zip(trace, trace[1:])]),
         )
     raise AllRestartsDegenerate(
         f"all {config.restarts} restarts degenerate: "

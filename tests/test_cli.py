@@ -10,7 +10,7 @@ import pytest
 
 import pitchmbc
 from pitchmbc.archive import load_archive
-from pitchmbc.cli import main
+from pitchmbc.cli import build_parser, main
 from pitchmbc.ingest import PitchDataset, PitchRecord, parse_pitch_csv, write_pitch_csv
 from pitchmbc.labeling import LabelConfig, PitchType
 from pitchmbc.mixture import EmConfig
@@ -143,6 +143,16 @@ def test_classify_version_mismatch_exit_code(tmp_path, fitted_model, pitcher_csv
     code = main(["classify", "--model", str(future), "--input", str(pitcher_csv),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 6
+
+
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"'])
+def test_classify_non_object_archive_is_archive_error(tmp_path, pitcher_csv, capsys, top):
+    model = tmp_path / "model.json"
+    model.write_text(top)
+    code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 6
+    assert "not a model archive" in capsys.readouterr().err
 
 
 def test_stability_command(pitcher_csv, tmp_path, capsys):
@@ -415,6 +425,16 @@ def test_pitcher_flag_and_batch(tmp_path):
     assert hist[0] == "pitcher_id,agreement_80,agreement_20"
     assert len(hist) == 3
 
+    outdir = tmp_path / "abe_only"
+    assert main(["batch", "--input", str(path), "--pitcher", "abe", "--outdir", str(outdir),
+                 "--kmin", "1", "--kmax", "2", "--reps", "0"] + FIT_SPEED_FLAGS) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "abe.json", "abe_scores.csv", "stability_agreements.csv", "summary.csv"]
+    code = main(["batch", "--input", str(path), "--pitcher", "nobody",
+                 "--outdir", str(tmp_path / "none")])
+    assert code == 4
+    assert not (tmp_path / "none").exists()
+
 
 def test_batch_stability_equals_stability_command(tmp_path):
     ds_a, _, _ = archetype_pitcher(150, seed=1, pitcher_id="abe")
@@ -456,3 +476,26 @@ def test_module_entrypoint_subprocess(tmp_path, pitcher_csv):
     assert proc.returncode == 0, proc.stderr
     assert "selected k=5" in proc.stdout
     assert out.exists()
+
+
+_INPUT_OPTIONS = {"-h", "--help", "--input", "--config", "--delimiter", "--columns", "--pitcher"}
+_EM_OPTIONS = {"--seed", "--restarts", "--max-iter", "--tol", "--ridge"}
+_SELECTION_OPTIONS = {"--kmin", "--kmax", "--criterion", "--penalty-scale"}
+_LABEL_OPTIONS = {"--sidespin-band", "--changeup-speed-gap", "--cutter-speed-gap",
+                  "--curveball-backspin-max", "--knuckleball-spin-var-ratio", "--swap-anchor"}
+
+
+def test_subcommand_options_are_pinned():
+    """Every option of every subcommand; a new option must be added here too."""
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    options = {name: {opt for action in sub._actions for opt in action.option_strings}
+               for name, sub in subparsers.choices.items()}
+    assert options == {
+        "fit": _INPUT_OPTIONS | _EM_OPTIONS | _SELECTION_OPTIONS | _LABEL_OPTIONS
+        | {"--out", "--scores-out"},
+        "classify": _INPUT_OPTIONS | {"--model", "--out"},
+        "stability": _INPUT_OPTIONS | _EM_OPTIONS | {"--k", "--split", "--reps", "--out"},
+        "plot": _INPUT_OPTIONS | {"--model", "--out"},
+        "batch": _INPUT_OPTIONS | _EM_OPTIONS | _SELECTION_OPTIONS | _LABEL_OPTIONS
+        | {"--outdir", "--split", "--reps"},
+    }

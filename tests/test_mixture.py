@@ -45,12 +45,16 @@ def test_log_density_matches_dense_formula(seed):
 
 
 def test_log_density_singular_covariance_raises():
-    # unit diagonal, |off| <= 1, but indefinite: passes construction,
-    # fails factorization even after the regularization retry
-    corr = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
-    comp = make_component([0, 0, 0], correlation=corr)
-    with pytest.raises(SingularCovariance):
-        log_density(comp, [0, 0, 0])
+    # unit diagonal, |off| <= 1, but indefinite; then a correlation of exactly
+    # 1: both pass construction and fail factorization
+    indefinite = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
+    collinear = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for corr in (indefinite, collinear):
+        comp = make_component([0, 0, 0], correlation=np.array(corr))
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            log_density(comp, [0, 0, 0])
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            e_step([comp], np.zeros((2, 3)))
 
 
 def test_em_config_lowest_valid_values_fit():
@@ -253,6 +257,13 @@ def test_fit_em_degenerate_data_raises():
     X = np.tile([90.0, 10.0, -5.0], (12, 1))
     with pytest.raises(AllRestartsDegenerate):
         fit_em(X, 1, EmConfig(seed=0, restarts=3))
+    # the third column exactly linear in the other two: at ridge=0 no
+    # component covariance factors, and nothing else regularizes it
+    rng = np.random.default_rng(0)
+    x0, x1 = rng.normal(90, 2, 200), rng.normal(2000, 100, 200)
+    X = np.column_stack([x0, x1, 3 * x0 - 0.01 * x1])
+    with pytest.raises(AllRestartsDegenerate, match="not positive definite"):
+        fit_em(X, 2, EmConfig(ridge=0.0))
 
 
 # ------------------------------------------------------- short-EM schedule
@@ -413,7 +424,7 @@ def test_stack_cases_fail_some_restarts_inside_a_group(monkeypatch):
     def iterate(F, runs, config, until):
         real(F, runs, config, until)
         if len(runs) > 1:
-            groups.append([(run.failure is not None, run.iterations) for run in runs])
+            groups.append([(run.failure is not None, len(run.trace) - 1) for run in runs])
 
     monkeypatch.setattr(mixture, "_iterate", iterate)
     for case in ("outlier_k4", "outlier_k2", "outlier_k3"):
