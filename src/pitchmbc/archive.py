@@ -39,11 +39,18 @@ class ModelArchive:
     format_version: int = FORMAT_VERSION
 
     def labeled_model(self) -> LabeledModel:
-        label_cfg = LabelConfig(**self.config.get("labels", {}))
         return LabeledModel(
             fit=self.fit, labels=self.labels, anchor_index=self.anchor_index,
-            rule_trace=self.rule_trace, config=label_cfg,
+            rule_trace=self.rule_trace, config=_label_config(self.config),
         )
+
+
+def _label_config(config) -> LabelConfig:
+    """The rule-cascade thresholds an archive's ``config.labels`` records."""
+    labels = config.get("labels", {}) if isinstance(config, dict) else None
+    if not isinstance(labels, dict):
+        raise TypeError(f"config and config.labels must be JSON objects, got {config!r}")
+    return LabelConfig(**labels)
 
 
 def archive_from_results(pitcher_id: str, labeled: LabeledModel,
@@ -106,7 +113,7 @@ def load_archive(path) -> ModelArchive:
     if version != FORMAT_VERSION:
         raise ArchiveVersionMismatch(version, FORMAT_VERSION)
     try:
-        return ModelArchive(
+        archive = ModelArchive(
             pitcher_id=doc["pitcher_id"],
             fit=_fit_from_dict(doc["fit"]),
             labels=tuple(PitchType(v) for v in doc["labels"]),
@@ -119,5 +126,15 @@ def load_archive(path) -> ModelArchive:
             config=doc.get("config", {}),
             format_version=int(version),
         )
+        # what classify and plot index by, checked here so a bad archive
+        # is an ArchiveError rather than a crash further on
+        _label_config(archive.config)
+        k = archive.fit.k
+        if not len(archive.labels) == len(archive.fit.components) == k:
+            raise ValueError(f"{len(archive.labels)} labels and {len(archive.fit.components)} "
+                             f"components for k={k}")
+        if not 0 <= archive.anchor_index < k:
+            raise ValueError(f"anchor_index {archive.anchor_index} outside [0, {k})")
     except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveError(f"malformed archive: {exc}") from None
+    return archive

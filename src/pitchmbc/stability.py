@@ -16,16 +16,56 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, FitError, TooFewPoints
 from .ingest import csv_rows
 from .mixture import POINTS_PER_COMPONENT, EmConfig, FittedMixture, fit_em, _as_matrix
 
 
-def _assignment_optimum(M: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(M, maximize=True)
-    return int(M[rows, cols].sum())
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Column of each row in the exact minimum-cost perfect matching.
+
+    The Hungarian method (Kuhn 1955) as shortest augmenting paths with row
+    and column potentials: row i joins by the cheapest path from it to a
+    free column under reduced costs, one row at a time. With Python ints
+    every comparison is exact.
+    """
+    k = len(cost)
+    # index 0 is the virtual root row/column each augmenting path starts from
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
+    row_of = [0] * (k + 1)
+    for i in range(1, k + 1):
+        row_of[0] = i
+        col = 0
+        slack = [math.inf] * (k + 1)
+        via = [0] * (k + 1)
+        used = [False] * (k + 1)
+        while row_of[col]:
+            used[col] = True
+            row = row_of[col]
+            delta, nxt = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = cost[row - 1][j - 1] - u[row] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:
+            row_of[col] = row_of[via[col]]
+            col = via[col]
+    perm = [0] * k
+    for j in range(1, k + 1):
+        perm[row_of[j] - 1] = j - 1
+    return perm
 
 
 def align_clusters(reference_assign, candidate_assign, k: int) -> np.ndarray:
@@ -48,29 +88,15 @@ def align_clusters(reference_assign, candidate_assign, k: int) -> np.ndarray:
         if vec.min() < 0 or vec.max() >= k:
             raise ValueError(f"{name} assignment has labels outside [0, {k})")
 
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (cand, ref), 1)
-    best = _assignment_optimum(confusion)
-
-    # Fix targets row by row, keeping the smallest target that still allows
-    # the global optimum; integer costs make the feasibility check exact.
-    perm = np.empty(k, dtype=np.int64)
-    available = list(range(k))
-    gain_so_far = 0
-    for c in range(k):
-        rest_rows = np.arange(c + 1, k)
-        for t in available:
-            rest_cols = [col for col in available if col != t]
-            if rest_rows.size:
-                rest = _assignment_optimum(confusion[np.ix_(rest_rows, rest_cols)])
-            else:
-                rest = 0
-            if gain_so_far + confusion[c, t] + rest == best:
-                perm[c] = t
-                gain_so_far += int(confusion[c, t])
-                available.remove(t)
-                break
-    return perm
+    confusion = np.bincount(cand * k + ref, minlength=k * k).reshape(k, k).tolist()
+    # One solve ranks permutations by agreement, then by the permutation read
+    # as a base-k number (smaller wins). That number is below k**k, so a single
+    # extra agreeing point outweighs any tie-break. Python ints keep it exact at
+    # any k; int64 would overflow from k = 16.
+    scale = k**k
+    cost = [[t * k ** (k - 1 - c) - confusion[c][t] * scale for t in range(k)]
+            for c in range(k)]
+    return np.array(_min_cost_assignment(cost), dtype=np.int64)
 
 
 def aligned_agreement(reference_assign, candidate_assign, k: int) -> tuple[np.ndarray, float]:

@@ -155,6 +155,29 @@ def test_classify_non_object_archive_is_archive_error(tmp_path, pitcher_csv, cap
     assert "not a model archive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doctor", [
+    lambda doc: doc.update(config=[1]),
+    lambda doc: doc.update(config={"labels": [1]}),
+    lambda doc: doc.update(config={"labels": {"bogus": 1}}),
+    lambda doc: doc.update(config={"labels": {"sidespin_band": "x"}}),
+    lambda doc: doc.update(config={"labels": {"sidespin_band": -1.0}}),
+    lambda doc: doc.update(labels=doc["labels"][:1]),
+    lambda doc: doc["fit"].update(k=doc["fit"]["k"] + 3),
+    lambda doc: doc.update(anchor_index=99),
+], ids=["config-list", "labels-list", "labels-unknown-key", "labels-string-threshold",
+        "labels-negative-threshold", "one-label", "k-past-components", "anchor-past-k"])
+def test_classify_inconsistent_archive_is_archive_error(tmp_path, fitted_model, pitcher_csv,
+                                                        capsys, doctor):
+    doc = json.loads(fitted_model.read_text())
+    doctor(doc)
+    model = tmp_path / "doctored.json"
+    model.write_text(json.dumps(doc))
+    code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 6
+    assert "malformed archive" in capsys.readouterr().err
+
+
 def test_stability_command(pitcher_csv, tmp_path, capsys):
     out = tmp_path / "stability.csv"
     code = main(["stability", "--input", str(pitcher_csv), "--k", "5",
@@ -462,20 +485,46 @@ def test_multi_pitcher_without_flag_is_validation_error(tmp_path, capsys):
     assert code == 4
 
 
+def _child_env() -> dict:
+    """Environment in which a child process imports the same pitchmbc as this
+    one, installed or not."""
+    src = str(Path(pitchmbc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entrypoint_subprocess(tmp_path, pitcher_csv):
     out = tmp_path / "model.json"
-    # the child imports the same pitchmbc as this process, installed or not
-    src = str(Path(pitchmbc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "pitchmbc", "fit", "--input", str(pitcher_csv),
          "--kmin", "4", "--kmax", "6", "--seed", "42", "--out", str(out)]
         + FIT_SPEED_FLAGS,
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "selected k=5" in proc.stdout
     assert out.exists()
+
+
+def test_batch_runs_without_scipy(tmp_path):
+    ds_a, _, _ = archetype_pitcher(150, seed=1, pitcher_id="abe")
+    ds_b, _, _ = archetype_pitcher(150, seed=2, pitcher_id="zed")
+    path = tmp_path / "two.csv"
+    write_pitch_csv(PitchDataset(ds_a.records + ds_b.records), path)
+    argv = ["batch", "--input", str(path), "--outdir", str(tmp_path / "batch"), "--kmin", "1",
+            "--kmax", "4", "--seed", "3", "--reps", "2"] + FIT_SPEED_FLAGS
+    # a None entry makes any scipy import fail; batch selects, labels, archives
+    # and aligns stability refits, so a pass means none of them needs scipy
+    script = ("import contextlib, io, json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from pitchmbc.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({argv!r})\n"
+              "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None\n"
+              "                               and m.split('.')[0] == 'scipy')]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 _INPUT_OPTIONS = {"-h", "--help", "--input", "--config", "--delimiter", "--columns", "--pitcher"}

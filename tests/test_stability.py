@@ -45,7 +45,7 @@ def test_align_random_three_clusters_vs_bruteforce():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 5), st.integers(6, 40), st.integers(0, 10**6))
+@given(st.integers(1, 6), st.integers(6, 40), st.integers(0, 10**6))
 def test_align_matches_bruteforce_including_ties(k, n, seed):
     rng = np.random.default_rng(seed)
     ref = rng.integers(0, k, size=n)
@@ -56,6 +56,15 @@ def test_align_matches_bruteforce_including_ties(k, n, seed):
     # lexicographically smallest among equally good permutations
     assert perm.tolist() == expect_perm.tolist()
     assert sorted(perm.tolist()) == list(range(k))
+
+
+def test_align_recovers_planted_permutation_at_k20():
+    # tie-break weights reach 20**20, past int64; a wrapped weight loses the plant
+    k = 20
+    plant = np.random.default_rng(20).permutation(k)
+    ref = np.random.default_rng(21).permutation(np.repeat(np.arange(k), 3))
+    perm = align_clusters(ref, plant[ref], k)
+    assert perm.tolist() == np.argsort(plant).tolist()
 
 
 @settings(max_examples=60, deadline=None)
