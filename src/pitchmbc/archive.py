@@ -104,7 +104,7 @@ def _fit_from_dict(doc: dict) -> FittedMixture:
 def load_archive(path) -> ModelArchive:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArchiveError(f"not a model archive: {exc}") from None
     if not isinstance(doc, dict):
         raise ArchiveError(f"not a model archive: top level is {type(doc).__name__}, "

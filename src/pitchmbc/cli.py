@@ -9,9 +9,7 @@ failures: 2 usage (argparse), 3 I/O, 4 validation, 5 fit failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -319,6 +317,8 @@ def cmd_batch(args) -> int:
         raise ValueError(f"--reps must be >= 0 (0 skips stability), got {args.reps}")
     if not 0.0 < args.split < 1.0:
         raise ValueError(f"--split must lie strictly between 0 and 1, got {args.split}")
+    if not 1 <= args.kmin <= args.kmax:
+        raise ValueError(f"need 1 <= --kmin <= --kmax, got [{args.kmin}, {args.kmax}]")
     settings = _fit_settings(args)
     schema, sel_cfg, _ = settings
     dataset = _load_dataset(args, schema, single_pitcher=False)
@@ -368,38 +368,7 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-# glibc mallopt(3) parameters, and the size below which freed memory stays in
-# the heap: above every per-step EM temporary of a 20k-row E-step (k·3·n
-# doubles, 4.3 MB at k = 9)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_KEEP_FREED_BYTES = 16 << 20
-
-
-def _keep_freed_heap() -> None:
-    """Let glibc reuse freed EM temporaries instead of handing them back.
-
-    Every EM step allocates and frees arrays of a few hundred KB. Under
-    glibc's default thresholds those go back to the kernel (munmap or heap
-    trim) and fault in afresh on the next step: on a 2-core x86-64 VM, eight
-    ``fit --kmax 9`` runs on 1500 rows in one process took 267k minor page
-    faults and 5.9 s, against 7k faults and 5.4 s with both thresholds at
-    16 MB, at the same 41 MB peak RSS. Other C libraries are left alone.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
-        return
-    if not glibc:
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -41,6 +41,10 @@ class ColumnSchema:
     intentional: str = "intentional"
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+
     def with_overrides(self, mapping: dict[str, str] | None = None,
                        delimiter: str | None = None) -> "ColumnSchema":
         changes: dict[str, str] = dict(mapping or {})

@@ -30,7 +30,9 @@ as it would be alone, and when a group step fails for any member, each
 member retakes it as a group of one, so results and errors do not depend on
 the grouping. Restart state stays in the kernels' transposed (k, n)
 responsibility layout, so no step transposes it, and each restart's new
-state is a slice of its group's arrays.
+state is a slice of its group's arrays. A group's steps write their E-step
+temporaries into one scratch buffer allocated when the group starts, so
+they do not allocate, free and fault in fresh memory on every step.
 """
 
 from __future__ import annotations
@@ -183,27 +185,35 @@ def _features(X: np.ndarray) -> np.ndarray:
 
 
 def _e_stack(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
-             X1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             X1: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Transposed responsibilities (..., k, n) and log-likelihoods (...) from
     packed parameters with any leading restart axes: weights (..., k), means
     (..., k, 3), covariances (..., k, 3, 3); ``X1`` is the (4, n) rows
     [x; 1] of ``_features``. Each slice is computed exactly as it would be
-    alone."""
+    alone. The two (..., k, 3, n) temporaries go into the flat float64
+    ``work`` (at least twice their size; fresh when None). The returned
+    arrays never share memory with ``work``."""
     L = _cholesky(covs)
+    shape = means.shape + X1.shape[1:]
+    size = math.prod(shape)
+    if work is None:
+        work = np.empty(2 * size)
     # x - mean as one matmul [I, -mean] @ [x; 1]: its products by 1 and 0 are
     # exact, so each difference is rounded once, as a subtraction is
     sub = np.zeros(means.shape + (4,))
     sub[..., :3], sub[..., 3] = np.eye(3), -means
-    # whitened z = L^-1 (x - mean), (..., k, 3, n): differencing before
-    # whitening keeps a tight component far from the origin free of cancellation
-    z = np.linalg.inv(L) @ (sub.reshape(-1, 4) @ X1).reshape(means.shape + (-1,))
+    diff = np.matmul(sub.reshape(-1, 4), X1, out=work[:size].reshape(-1, X1.shape[1]))
+    # whitened z = L^-1 (x - mean): differencing before whitening keeps a
+    # tight component far from the origin free of cancellation
+    z = np.matmul(np.linalg.inv(L), diff.reshape(shape), out=work[size:2 * size].reshape(shape))
     logp = np.square(z, out=z).sum(axis=-2)
     logp *= -0.5
     half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
     logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
     # max-shifted log-sum-exp over components
     shift = logp.max(axis=-2)
-    norm = shift + np.log(np.exp(logp - shift[..., None, :]).sum(axis=-2))
+    terms = np.subtract(logp, shift[..., None, :], out=work[:logp.size].reshape(logp.shape))
+    norm = shift + np.log(np.exp(terms, out=terms).sum(axis=-2))
     logp -= norm[..., None, :]
     return np.exp(logp, out=logp), norm.sum(axis=-1)
 
@@ -348,10 +358,12 @@ class _Restart:
     failure: str | None = None
 
 
-def _em_steps(F: np.ndarray, respTs: list[np.ndarray], ridge: float) -> list:
+def _em_steps(F: np.ndarray, respTs: list[np.ndarray], ridge: float,
+              work: np.ndarray) -> list:
     """One M-step then one E-step from each transposed (k, n) responsibility
     matrix in ``respTs``: per member, (params, respT, ll) as slices of the
     group's arrays, or the EmptyCluster or SingularCovariance its step raised.
+    ``work`` is the E-step's scratch buffer (see ``_e_stack``).
 
     The members step as one stacked kernel call. If that fails for any member
     of a larger group, each member steps alone, so results and errors are
@@ -360,11 +372,11 @@ def _em_steps(F: np.ndarray, respTs: list[np.ndarray], ridge: float) -> list:
     try:
         stack = respTs[0][None] if len(respTs) == 1 else np.stack(respTs)
         weights, means, covs = _m_stack(F, stack, ridge)
-        respT, ll = _e_stack(weights, means, covs, F[6:])
+        respT, ll = _e_stack(weights, means, covs, F[6:], work)
     except (EmptyCluster, SingularCovariance) as exc:
         if len(respTs) == 1:
             return [exc]
-        return [step for r in respTs for step in _em_steps(F, [r], ridge)]
+        return [step for r in respTs for step in _em_steps(F, [r], ridge, work)]
     return [((weights[i], means[i], covs[i]), respT[i], float(ll[i]))
             for i in range(len(respTs))]
 
@@ -378,12 +390,15 @@ def _iterate(F: np.ndarray, runs: list[_Restart], config: EmConfig, until: int) 
     Converged means the log-likelihood gained no more than ``tol`` relative
     to the previous E-step.
     """
+    # every step of the group writes its E-step temporaries here
+    work = np.empty(2 * len(runs) * 3 * runs[0].respT.size)
     while True:
         active = [run for run in runs
                   if run.failure is None and not run.converged and len(run.trace) <= until]
         if not active:
             return
-        for run, step in zip(active, _em_steps(F, [run.respT for run in active], config.ridge)):
+        steps = _em_steps(F, [run.respT for run in active], config.ridge, work)
+        for run, step in zip(active, steps):
             if isinstance(step, Exception):
                 run.failure = str(step)
                 continue

@@ -6,18 +6,30 @@ permutation search, contingency-table ARI, and a from-scratch rewrite of
 the labeling cascade. Keep these independent of the package internals,
 except ``reference_restarts``, which reuses the seeding and the E/M kernels
 to replay the plain schedule that runs every restart to convergence.
+``child_env`` sets up subprocess tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import pitchmbc
 from pitchmbc.errors import EmptyCluster, SingularCovariance
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
                               _e_stack, _features, _m_stack, _seed_resp, _standardize)
+
+
+def child_env(**extra: str) -> dict:
+    """Environment in which a child process imports the same pitchmbc as this
+    one, installed or not, plus the ``extra`` variables."""
+    src = str(Path(pitchmbc.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def dense_mvn_logpdf(x, mean, cov) -> float:

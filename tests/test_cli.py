@@ -1,14 +1,12 @@
 import json
-import os
 import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import pitchmbc
+from helpers import child_env
 from pitchmbc.archive import load_archive
 from pitchmbc.cli import build_parser, main
 from pitchmbc.ingest import PitchDataset, PitchRecord, parse_pitch_csv, write_pitch_csv
@@ -145,10 +143,10 @@ def test_classify_version_mismatch_exit_code(tmp_path, fitted_model, pitcher_csv
     assert code == 6
 
 
-@pytest.mark.parametrize("top", ["[1, 2]", '"x"'])
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "\xff\xfe{}"])
 def test_classify_non_object_archive_is_archive_error(tmp_path, pitcher_csv, capsys, top):
     model = tmp_path / "model.json"
-    model.write_text(top)
+    model.write_bytes(top.encode("latin-1"))  # the last is not UTF-8
     code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 6
@@ -242,6 +240,17 @@ def test_column_remap_and_delimiter(tmp_path):
                 + FIT_SPEED_FLAGS)
     assert code == 0
     assert load_archive(out).fit.k >= 1
+
+
+@pytest.mark.parametrize("source,delimiter", [("flag", ";;"), ("flag", ""), ("config", "ab")])
+def test_delimiter_of_other_than_one_character_is_validation_error(pitcher_csv, tmp_path,
+                                                                   capsys, source, delimiter):
+    out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(pitcher_csv), "--out", str(out)]
+                + _flag_or_config(tmp_path, source, "schema", "delimiter", delimiter))
+    assert code == 4
+    assert "error: delimiter must be one character" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -392,6 +401,16 @@ def test_batch_split_outside_unit_interval_fails_before_any_fit(pitcher_csv, tmp
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("kmin,kmax", [("0", "9"), ("4", "3"), ("-1", "-1")])
+def test_batch_k_range_is_checked_before_any_fit(pitcher_csv, tmp_path, capsys, kmin, kmax):
+    outdir = tmp_path / "b"
+    code = main(["batch", "--input", str(pitcher_csv), "--outdir", str(outdir),
+                 "--kmin", kmin, "--kmax", kmax])
+    assert code == 4
+    assert f"error: need 1 <= --kmin <= --kmax, got [{kmin}, {kmax}]" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 MISTYPED_CONFIG = [("em", "restarts", "8"), ("em", "restarts", 2.5), ("em", "seed", 1.5),
                    ("em", "restarts", None), ("em", "tol", True),
                    ("labels", "sidespin_band", "60"), ("selection", "penalty_scale", True),
@@ -485,21 +504,13 @@ def test_multi_pitcher_without_flag_is_validation_error(tmp_path, capsys):
     assert code == 4
 
 
-def _child_env() -> dict:
-    """Environment in which a child process imports the same pitchmbc as this
-    one, installed or not."""
-    src = str(Path(pitchmbc.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_module_entrypoint_subprocess(tmp_path, pitcher_csv):
     out = tmp_path / "model.json"
     proc = subprocess.run(
         [sys.executable, "-m", "pitchmbc", "fit", "--input", str(pitcher_csv),
          "--kmin", "4", "--kmax", "6", "--seed", "42", "--out", str(out)]
         + FIT_SPEED_FLAGS,
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "selected k=5" in proc.stdout
     assert out.exists()
@@ -522,7 +533,7 @@ def test_batch_runs_without_scipy(tmp_path):
               "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() if mod is not None\n"
               "                               and m.split('.')[0] == 'scipy')]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_child_env())
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, []]
 

@@ -1,4 +1,7 @@
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_fits_identical, dense_mvn_logpdf, make_component,
+from helpers import (assert_fits_identical, child_env, dense_mvn_logpdf, make_component,
                      random_spd_component, reference_fit_em, reference_restarts)
 from pitchmbc import mixture
 from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovariance,
@@ -463,6 +466,53 @@ def test_stack_width_keeps_peak_memory_of_one_restart_per_group():
             tracemalloc.stop()
 
     assert traced_peak() <= 1.3 * traced_peak(stack_elements=0)
+
+
+def test_e_stack_returns_nothing_that_lives_in_its_work_buffer():
+    comps = [random_spd_component(s, 0.25) for s in range(4)]
+    X1 = mixture._features(np.random.default_rng(0).normal(size=(50, 3)))[6:]
+    packed = [np.stack([a, a[::-1]]) for a in mixture._pack(comps)]
+    work = np.empty(2 * 2 * 4 * 3 * 50)
+    respT, ll = mixture._e_stack(*packed, X1, work)
+    kept = respT.copy(), ll.copy()
+    assert not np.shares_memory(respT, work) and not np.shares_memory(ll, work)
+    again = mixture._e_stack(*[a[::-1] for a in packed], X1, work)
+    np.testing.assert_array_equal(respT, kept[0])
+    np.testing.assert_array_equal(ll, kept[1])
+    for got, fresh in zip(again, mixture._e_stack(*[a[::-1] for a in packed], X1)):
+        np.testing.assert_array_equal(got, fresh)
+
+
+def test_fit_responsibilities_survive_a_later_fit_of_the_same_shape():
+    # a is the outlier_k4 stack case: one restart fails inside its group, so
+    # the group's members also step one at a time
+    a = fit_em(_outlier_data(6), 4, EmConfig(seed=6))
+    kept = a.responsibilities.copy()
+    b = fit_em(_outlier_data(20), 4, EmConfig(seed=20))
+    assert b.responsibilities.shape == kept.shape
+    np.testing.assert_array_equal(a.responsibilities, kept)
+    returned = [b.responsibilities] + [arr for c in b.components
+                                       for arr in (c.mean, c.stddev, c.correlation)]
+    assert not any(np.shares_memory(a.responsibilities, arr) for arr in returned)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc returns large freed blocks to the kernel")
+def test_select_k_scan_does_not_fault_in_fresh_temporaries_every_step():
+    # in a fresh process, without pitchmbc.cli.main: EM temporaries allocated
+    # and freed on every step fault in anew each time (17k-31k minor faults
+    # for this scan under glibc 2.36); one scratch buffer per group takes ~1k
+    script = ("import resource\n"
+              "from pitchmbc.selection import select_k\n"
+              "from pitchmbc.synth import archetype_pitcher\n"
+              "data = archetype_pitcher(1500, seed=3)[0]\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "select_k(data, 1, 9)\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
