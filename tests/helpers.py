@@ -3,14 +3,15 @@
 Everything here recomputes expected values by a different route than the
 library: dense density formula with explicit det/inverse, exhaustive
 permutation search, contingency-table ARI, and a from-scratch rewrite of
-the labeling cascade. Keep these independent of the package internals,
-except ``reference_restarts``, which reuses the seeding and the E/M kernels
-to replay the plain schedule that runs every restart to convergence.
-``child_env`` sets up subprocess tests.
+the labeling cascade, and a row-at-a-time pitch-file parser. Keep these
+independent of the package internals, except ``reference_restarts``, which
+reuses the seeding and the E/M kernels to replay the plain schedule that
+runs every restart to convergence. ``child_env`` sets up subprocess tests.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
@@ -19,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 import pitchmbc
-from pitchmbc.errors import EmptyCluster, SingularCovariance
+from pitchmbc.errors import (EmptyCluster, EmptyDataset, MalformedRow, MissingColumn,
+                             SingularCovariance)
+from pitchmbc.ingest import OPTIONAL_FIELDS, REQUIRED_FIELDS, PitchRecord
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
                               _e_stack, _features, _m_stack, _seed_resp, _standardize)
 
@@ -30,6 +33,74 @@ def child_env(**extra: str) -> dict:
     src = str(Path(pitchmbc.__file__).resolve().parents[1])
     return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _reference_float(token: str, what: str) -> float:
+    token = token.strip()
+    if not token:
+        raise ValueError(f"missing {what}")
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {token!r}")
+    return value
+
+
+def _reference_flag(token: str) -> bool:
+    token = token.strip().lower()
+    if token in ("1", "true", "t", "yes"):
+        return True
+    if token in ("0", "false", "f", "no", ""):
+        return False
+    raise ValueError(f"unparseable intentional flag {token!r}")
+
+
+def reference_parse(text: str, schema) -> tuple[list[PitchRecord], list[tuple[int, str]]]:
+    """Row-at-a-time parse of a pitch file's text: one ``PitchRecord`` per
+    valid row (its ``__post_init__`` runs the range checks last) and
+    (line, message) per rejected row. Line ends are ``str.splitlines``'s,
+    so it agrees with the package only on files whose rows end in ``\\n``
+    or ``\\r\\n`` and hold no other line-break character. Raises like
+    ``parse_pitch_csv`` on a missing column or an empty result."""
+    lines = text.splitlines()
+    if not lines:
+        raise EmptyDataset("input has no header")
+    reader = csv.reader(lines, delimiter=schema.delimiter)
+    header = [h.strip() for h in next(reader)]
+    position: dict[str, int] = {}
+    for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+        column = getattr(schema, logical)
+        if column in header:
+            position[logical] = header.index(column)
+        elif logical in REQUIRED_FIELDS:
+            raise MissingColumn(logical, column)
+
+    def get(row, logical: str) -> str:
+        idx = position.get(logical)
+        return row[idx] if idx is not None and idx < len(row) else ""
+
+    records: list[PitchRecord] = []
+    rejected: list[tuple[int, str]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            pid = get(row, "pitcher_id").strip()
+            if not pid:
+                raise ValueError("missing pitcher_id")
+            records.append(PitchRecord(
+                pitcher_id=pid,
+                start_speed=_reference_float(get(row, "start_speed"), "start_speed"),
+                back_spin=_reference_float(get(row, "back_spin"), "back_spin"),
+                side_spin=_reference_float(get(row, "side_spin"), "side_spin"),
+                season=get(row, "season").strip() or None,
+                reference_label=get(row, "reference_label").strip() or None,
+                is_intentional_ball=_reference_flag(get(row, "intentional")),
+            ))
+        except ValueError as exc:
+            rejected.append((line_no, str(MalformedRow(line_no, exc))))
+    if not records:
+        raise EmptyDataset(f"no valid rows ({len(rejected)} malformed)", rejected=rejected)
+    return records, rejected
 
 
 def dense_mvn_logpdf(x, mean, cov) -> float:

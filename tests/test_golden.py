@@ -2,16 +2,18 @@
 
 The commands (``run_commands``) cover every file format the pipeline
 writes: ``fit`` on ``archetype_pitcher(400, seed=11)``, ``stability --k 5
---reps 5`` and ``classify`` on the same file, and ``batch --reps 4`` on a
-team file of four pitchers p0-p3 (n 150/220/40/7, seeds 100-103; p2 and p3
-end in error rows). ``tests/golden.json`` holds two layers of expectations:
+--reps 5``, ``classify`` and ``plot`` on the same file, ``classify`` of a
+messy file (``messy_text``), and ``batch --reps 4`` on a team file of four
+pitchers p0-p3 (n 150/220/40/7, seeds 100-103; p2 and p3 end in error rows).
+``tests/golden.json`` holds two layers of expectations:
 
 - bytes: the sha256 of every output file. Low bits depend on the numpy
   version, the BLAS, and the SIMD paths numpy dispatches to on this CPU,
   so this layer is compared only where all three match the recorded ones.
 - meaning: selected k, labels, converged flags, score-table
-  log-likelihoods, stability agreements and their means, and each archived
-  component's mean, stddev and weight, always compared within rel 1e-9.
+  log-likelihoods, stability agreements and their means, per-pitch cluster
+  indices and types, and each archived component's mean, stddev and
+  weight, always compared within rel 1e-9. The SVG has bytes only.
 
 A change meant to move outputs rewrites the expected file with
 
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 
 from pitchmbc.cli import main
-from pitchmbc.ingest import PitchDataset, write_pitch_csv
+from pitchmbc.ingest import PitchDataset, serialize_pitch_csv, write_pitch_csv
 from pitchmbc.synth import archetype_pitcher
 
 EXPECTED = Path(__file__).with_name("golden.json")
@@ -54,6 +56,36 @@ def platform() -> dict:
             "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
+def messy_text() -> str:
+    """A 300-pitch file with what the parser skips or rejects: malformed
+    cells of five kinds, intentional balls, blank lines, a row of empty
+    cells, a short row, padded cells and some "\\r\\n" line ends."""
+    lines = serialize_pitch_csv(archetype_pitcher(300, seed=12, pitcher_id="m")[0]).split("\n")
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:-1], start=1):
+        cells = line.split(",")
+        if i % 23 == 0:
+            cells[2] = ""                       # missing start_speed
+        elif i % 29 == 0:
+            cells[3] = "n/a"                    # unparseable back_spin
+        elif i % 31 == 0:
+            cells[2] = "250"                    # speed outside (0, 200)
+        elif i % 37 == 0:
+            cells[4] = "nan"                    # non-finite side_spin
+        elif i % 41 == 0:
+            cells[2], cells[6] = "250", "maybe"  # the flag is reported, not the speed
+        elif i % 13 == 0:
+            cells[6] = "1"                      # intentional ball
+        elif i % 17 == 0:
+            cells[6] = " yes "
+        elif i % 19 == 0:
+            cells = [f" {cell} " for cell in cells]
+        out.append(",".join(cells) + ("\r" if i % 7 == 0 else ""))
+        if i % 50 == 0:
+            out += ["", ",,,,,,", "m,2010"]
+    return "\n".join(out) + "\n"
+
+
 def run_commands(inputs: Path, out: Path) -> None:
     """Write the golden inputs under ``inputs`` and every output under ``out``."""
     inputs.mkdir(parents=True, exist_ok=True)
@@ -65,11 +97,17 @@ def run_commands(inputs: Path, out: Path) -> None:
     for i, n in enumerate((150, 220, 40, 7)):
         records += archetype_pitcher(n, seed=100 + i, pitcher_id=f"p{i}")[0].records
     write_pitch_csv(PitchDataset(records), team)
+    messy = inputs / "messy.csv"
+    messy.write_bytes(messy_text().encode("utf-8"))
     for argv in (["fit", "--input", str(pitcher), "--out", str(out / "fit.json")],
                  ["stability", "--input", str(pitcher), "--k", "5", "--reps", "5",
                   "--out", str(out / "stability.csv")],
                  ["classify", "--input", str(pitcher), "--model", str(out / "fit.json"),
                   "--out", str(out / "classify.csv")],
+                 ["plot", "--input", str(pitcher), "--model", str(out / "fit.json"),
+                  "--out", str(out / "plot")],
+                 ["classify", "--input", str(messy), "--model", str(out / "fit.json"),
+                  "--out", str(out / "classify_messy.csv")],
                  ["batch", "--input", str(team), "--outdir", str(out / "batch"),
                   "--reps", "4"]):
         assert main(argv) == 0, argv
@@ -89,6 +127,8 @@ def _meaning(path: Path) -> dict:
         return {"k": fit["k"], "labels": doc["labels"], "converged": fit["converged"],
                 "components": [{key: c[key] for key in ("mean", "stddev", "weight")}
                                for c in fit["components"]]}
+    if path.suffix != ".csv":
+        return {}
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     return {col: [_cell(row[col]) for row in rows]

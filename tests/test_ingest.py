@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_parse
 from pitchmbc.errors import EmptyDataset, MissingColumn
 from pitchmbc.ingest import (ColumnSchema, DEFAULT_SCHEMA, PitchDataset, PitchRecord,
                              filter_pitches, parse_pitch_csv, serialize_pitch_csv,
@@ -233,3 +234,83 @@ def test_default_schema_column_names():
     assert DEFAULT_SCHEMA.pitcher_id == "pitcher_id"
     assert DEFAULT_SCHEMA.reference_label == "pitch_type"
     assert DEFAULT_SCHEMA.intentional == "intentional"
+
+
+# Cells of generated pitch files: each kind of token the parser must accept,
+# reject or skip, with the delimiter, quotes and line breaks left out so that
+# a row-per-line oracle reads them the same way.
+def _mostly(valid, odd):
+    """Nine draws in ten from ``valid``, the rest from the odd tokens."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else st.sampled_from(odd))
+
+
+_odd_numbers = ["", "  ", "nan", "NaN", "inf", "-inf", "n/a", "0", "0.0", "200", "200.0",
+                "199.5", " 88.25 ", "1e2", "-3", "90", "oops"]
+_file_cells = {
+    "pitcher_id": _mostly(st.sampled_from(["p1", "p2", " p3 ", "josé"]), ["", "  "]),
+    "season": st.sampled_from(["", "2010", " 2011 "]),
+    "start_speed": _mostly(st.floats(min_value=40.0, max_value=105.0).map(repr), _odd_numbers),
+    "back_spin": _mostly(st.floats(min_value=-500.0, max_value=500.0).map(repr), _odd_numbers),
+    "side_spin": _mostly(st.floats(min_value=-500.0, max_value=500.0).map(repr), _odd_numbers),
+    "reference_label": st.sampled_from(["", "FF", " CU "]),
+    "intentional": _mostly(st.sampled_from(["", "0", "1"]),
+                           [" 1 ", "true", "FALSE", "yes", "No", "t", "maybe", "2"]),
+    "extra": st.sampled_from(["", "x", "9.5"]),
+}
+
+
+@st.composite
+def pitch_files(draw):
+    """(text, schema) of a generated file: required columns in any order,
+    optional ones present or not, blank, short and malformed rows, "," or
+    ";" delimited, each line ended by "\\n" or "\\r\\n"."""
+    optional = [f for f in ("season", "reference_label", "intentional", "extra")
+                if draw(st.booleans())]
+    columns = draw(st.permutations(["pitcher_id", "start_speed", "back_spin", "side_spin"]
+                                   + optional))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    schema = DEFAULT_SCHEMA.with_overrides({"back_spin": "bspin"}, delimiter)
+    names = [("notes" if f == "extra" else getattr(schema, f)) for f in columns]
+    header = [f" {name} " if draw(st.booleans()) else name for name in names]
+    lines = [delimiter.join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "short", "blank", "empty"]))
+        cells = [draw(_file_cells[f]) for f in columns]
+        if kind == "short":
+            cells = cells[:draw(st.integers(min_value=1, max_value=len(cells) - 1))]
+        elif kind == "blank":
+            cells = [draw(st.sampled_from(["", " "])) for _ in cells]
+        elif kind == "empty":
+            cells = []
+        lines.append(delimiter.join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends)), schema
+
+
+def _parse_outcome(parse):
+    """(result, None) or (None, (exception type, message, rejected rows))."""
+    try:
+        return parse(), None
+    except (EmptyDataset, MissingColumn) as exc:
+        return None, (type(exc), str(exc), getattr(exc, "rejected", ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pitch_files(), st.booleans())
+def test_parse_matches_row_at_a_time_oracle(file, as_bytes):
+    text, schema = file
+    source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    ds, failure = _parse_outcome(lambda: parse_pitch_csv(source, schema))
+    expected, expected_failure = _parse_outcome(lambda: reference_parse(text, schema))
+    assert failure == expected_failure
+    if failure is not None:
+        return
+    records, rejected = expected
+    want = np.array([(r.start_speed, r.back_spin, r.side_spin) for r in records],
+                    dtype=np.float64)
+    assert ds.to_matrix().dtype == np.float64
+    assert ds.to_matrix().tobytes() == want.tobytes()
+    got = ds.records
+    for name in ("pitcher_id", "season", "reference_label", "is_intentional_ball"):
+        assert [getattr(r, name) for r in got] == [getattr(r, name) for r in records], name
+    assert ds.rejected == tuple(rejected)
