@@ -200,6 +200,9 @@ def _selection_from(args, cfg: dict, em: EmConfig) -> SelectionConfig:
 
 def _load_dataset(args, schema, single_pitcher: bool):
     dataset = parse_pitch_csv(args.input, schema)
+    if dataset.rejected:
+        print(f"rejected {len(dataset.rejected)} malformed rows; first {dataset.rejected[0][1]}",
+              file=sys.stderr)
     if getattr(args, "pitcher", None):
         wanted = args.pitcher
         subsets = dataset.split_by_pitcher()
@@ -264,10 +267,9 @@ def cmd_fit(args) -> int:
 
 def cmd_classify(args) -> int:
     _, filtered, (idx, types, pmax) = _classify_input(args)
-    refs = [rec.reference_label for rec in filtered.records]
-    write_labeled_csv(args.out, idx, types, pmax, refs)
+    write_labeled_csv(args.out, idx, types, pmax, filtered.reference_labels)
     print(f"classified {filtered.n} pitches -> {args.out}")
-    counts = confusion_counts(refs, types)
+    counts = confusion_counts(filtered.reference_labels, types)
     if counts:
         print("confusion vs reference labels:")
         print(format_confusion(counts))
@@ -295,7 +297,7 @@ def cmd_stability(args) -> int:
 def cmd_plot(args) -> int:
     model, filtered, (idx, types, _) = _classify_input(args)
     per_cluster = cluster_colors(model.labels)
-    colors = [per_cluster[i] for i in idx]
+    colors = [per_cluster[i] for i in idx.tolist()]
     X = filtered.to_matrix()
 
     outdir = Path(args.out)

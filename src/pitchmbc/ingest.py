@@ -13,9 +13,9 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ OPTIONAL_FIELDS = ("season", "reference_label", "intentional")
 
 _TRUE_TOKENS = {"1", "true", "t", "yes"}
 _FALSE_TOKENS = {"0", "false", "f", "no", ""}
+# the flag of each token as written, for the common rows; any other spelling
+# goes through _parse_flag
+_FLAGS = {**dict.fromkeys(_TRUE_TOKENS, True), **dict.fromkeys(_FALSE_TOKENS, False)}
 
 
 @dataclass(frozen=True)
@@ -75,34 +78,101 @@ class PitchRecord:
             raise ValueError("spin components must be finite")
 
 
-@dataclass(frozen=True)
 class PitchDataset:
-    """Ordered, validated collection of pitch records.
+    """Ordered, validated pitches, held as columns.
+
+    ``to_matrix()`` is the read-only (n, 3) float64 matrix of
+    (start_speed, back_spin, side_spin). ``pitchers``, ``seasons`` and
+    ``reference_labels`` are tuples of strings, "" where a value is absent,
+    and ``intentional`` is a read-only bool array. ``PitchDataset(records)``
+    builds the columns from :class:`PitchRecord` s, and :attr:`records`
+    builds records from the columns on each access.
 
     ``rejected`` carries (line_number, reason) reports for rows dropped at
     parse time and ``removed_intentional`` the count dropped by
     :func:`filter_pitches`; neither participates in equality, which is
-    defined by the records alone.
+    defined by the pitches alone.
     """
 
-    records: tuple[PitchRecord, ...]
-    rejected: tuple[tuple[int, str], ...] = field(default=(), compare=False)
-    removed_intentional: int = field(default=0, compare=False)
+    __slots__ = ("_X", "pitchers", "seasons", "reference_labels", "intentional",
+                 "rejected", "removed_intentional")
 
-    def __post_init__(self):
-        if not self.records:
-            raise EmptyDataset("dataset has no records", rejected=self.rejected)
+    def __init__(self, records, rejected=(), removed_intentional: int = 0):
+        records = tuple(records)
+        X = np.array([(r.start_speed, r.back_spin, r.side_spin) for r in records],
+                     dtype=np.float64).reshape(len(records), 3)
+        self._assign(X, [r.pitcher_id for r in records], [r.season or "" for r in records],
+                     [r.reference_label or "" for r in records],
+                     [bool(r.is_intentional_ball) for r in records], rejected, removed_intentional)
+
+    @classmethod
+    def from_columns(cls, X, pitchers, seasons=None, reference_labels=None, intentional=None,
+                     rejected=(), removed_intentional: int = 0) -> "PitchDataset":
+        """A dataset of the rows of ``X``; absent string columns are all "",
+        an absent ``intentional`` all False. ``X`` is copied."""
+        n = len(pitchers)
+        dataset = cls.__new__(cls)
+        dataset._assign(X, pitchers, ("",) * n if seasons is None else seasons,
+                        ("",) * n if reference_labels is None else reference_labels,
+                        np.zeros(n, dtype=bool) if intentional is None else intentional,
+                        rejected, removed_intentional)
+        return dataset
+
+    def _assign(self, X, pitchers, seasons, reference_labels, intentional, rejected,
+                removed_intentional) -> None:
+        X = np.array(X, dtype=np.float64)
+        intentional = np.array(intentional, dtype=bool)
+        columns = (tuple(pitchers), tuple(seasons), tuple(reference_labels))
+        n = len(columns[0])
+        if X.shape != (n, 3) or {len(c) for c in columns} != {n} or intentional.shape != (n,):
+            raise ValueError(f"columns of unequal length: matrix {X.shape}, "
+                             f"{[len(c) for c in columns]} strings, {intentional.shape} flags")
+        if not n:
+            raise EmptyDataset("dataset has no records", rejected=rejected)
+        bad = ~((X[:, 0] > 0.0) & (X[:, 0] < 200.0) & np.isfinite(X).all(axis=1))
+        if bad.any():
+            row = int(np.argmax(bad))
+            PitchRecord(columns[0][row], *X[row].tolist())  # raises the record's own message
+        X.flags.writeable = False
+        intentional.flags.writeable = False
+        for name, value in zip(self.__slots__, (X, *columns, intentional, tuple(rejected),
+                                                 removed_intentional)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PitchDataset is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PitchDataset):
+            return NotImplemented
+        return (self.pitchers == other.pitchers and self.seasons == other.seasons
+                and self.reference_labels == other.reference_labels
+                and np.array_equal(self.intentional, other.intentional)
+                and np.array_equal(self._X, other._X))
+
+    def __hash__(self):
+        return hash(self.pitchers)
+
+    def __repr__(self):
+        return f"PitchDataset(n={self.n}, pitchers={self.pitcher_ids()!r})"
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.pitchers)
+
+    @property
+    def records(self) -> tuple[PitchRecord, ...]:
+        """One :class:`PitchRecord` per row, absent strings as None."""
+        return tuple(
+            PitchRecord(pid, speed, back, side, season or None, ref or None, flag)
+            for pid, (speed, back, side), season, ref, flag in zip(
+                self.pitchers, self._X.tolist(), self.seasons, self.reference_labels,
+                self.intentional.tolist())
+        )
 
     def pitcher_ids(self) -> tuple[str, ...]:
         """Distinct pitcher ids, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.pitcher_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.pitchers))
 
     def single_pitcher_id(self) -> str:
         """The one pitcher id present; raises if the dataset is mixed."""
@@ -112,27 +182,32 @@ class PitchDataset:
         return ids[0]
 
     def split_by_pitcher(self) -> dict[str, "PitchDataset"]:
-        """Per-pitcher datasets preserving record order, keyed by pitcher id."""
-        groups: dict[str, list[PitchRecord]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.pitcher_id, []).append(rec)
-        return {pid: PitchDataset(tuple(recs)) for pid, recs in groups.items()}
+        """Per-pitcher datasets preserving row order, keyed by pitcher id."""
+        rows: dict[str, list[int]] = {}
+        for i, pid in enumerate(self.pitchers):
+            rows.setdefault(pid, []).append(i)
+        return {pid: self._take(np.array(idx)) for pid, idx in rows.items()}
 
     def to_matrix(self) -> np.ndarray:
-        """(n, 3) float array of (start_speed, back_spin, side_spin)."""
-        return np.array(
-            [(r.start_speed, r.back_spin, r.side_spin) for r in self.records],
-            dtype=np.float64,
-        )
+        """(n, 3) float array of (start_speed, back_spin, side_spin), read-only."""
+        return self._X
+
+    def _take(self, rows: np.ndarray, rejected=(), removed_intentional: int = 0) -> "PitchDataset":
+        """The dataset of the rows at the indices ``rows``, in that order."""
+        pick = rows.tolist()
+        return PitchDataset.from_columns(
+            self._X[rows], *([col[i] for i in pick]
+                             for col in (self.pitchers, self.seasons, self.reference_labels)),
+            self.intentional[rows], rejected, removed_intentional)
 
 
-def _as_text_lines(source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
-    data = source.read()
+def _read_text(source) -> str:
+    """The whole of a path, byte stream or text stream as text, without a
+    leading byte-order mark (as Excel writes one)."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data.splitlines()
+    return data.removeprefix("\ufeff")
 
 
 def _parse_float(token: str, what: str) -> float:
@@ -154,20 +229,41 @@ def _parse_flag(token: str) -> bool:
     raise ValueError(f"unparseable intentional flag {token!r}")
 
 
+def _parse_row(row: Sequence[str], get) -> PitchRecord:
+    """The record of one non-blank row, or ValueError with the first reason
+    it is malformed: pitcher id, then each number, then the flag, then the
+    record's own range checks."""
+    pid = get(row, "pitcher_id").strip()
+    if not pid:
+        raise ValueError("missing pitcher_id")
+    return PitchRecord(
+        pitcher_id=pid,
+        start_speed=_parse_float(get(row, "start_speed"), "start_speed"),
+        back_spin=_parse_float(get(row, "back_spin"), "back_spin"),
+        side_spin=_parse_float(get(row, "side_spin"), "side_spin"),
+        season=get(row, "season").strip() or None,
+        reference_label=get(row, "reference_label").strip() or None,
+        is_intentional_ball=_parse_flag(get(row, "intentional")),
+    )
+
+
 def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDataset:
     """Parse a delimited pitch file into a dataset.
 
-    ``source`` may be a path, a text stream, or a byte stream. Rows with
-    missing or unparseable required values are rejected (not fatal) and
-    reported on ``dataset.rejected`` as (line_number, reason) with the
-    header on line 1. Raises :class:`MissingColumn` when a required field
-    has no column and :class:`EmptyDataset` when no row survives.
+    ``source`` may be a path, a text stream, or a byte stream, in UTF-8
+    with or without a byte-order mark. Rows end at "\\n", "\\r\\n" or "\\r"
+    only, and a quoted cell may span lines. Rows with missing or
+    unparseable required values are rejected (not fatal) and reported on
+    ``dataset.rejected`` as (line_number, reason), where line_number is the
+    physical line the row starts on and the header starts on line 1.
+    Raises :class:`MissingColumn` when a required field has no column and
+    :class:`EmptyDataset` when no row survives.
     """
-    lines = list(_as_text_lines(source))
-    if not lines:
+    reader = csv.reader(io.StringIO(_read_text(source), newline=""), delimiter=schema.delimiter)
+    header = next(reader, None)
+    if header is None:
         raise EmptyDataset("input has no header")
-    reader = csv.reader(lines, delimiter=schema.delimiter)
-    header = [h.strip() for h in next(reader)]
+    header = [h.strip() for h in header]
     position: dict[str, int] = {}
     for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
         column = getattr(schema, logical)
@@ -181,34 +277,49 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
         idx = position.get(logical)
         return row[idx] if idx is not None and idx < len(row) else ""
 
-    records: list[PitchRecord] = []
+    i_pid, i_speed, i_back, i_side = (position[f] for f in REQUIRED_FIELDS)
+    i_season, i_label, i_flag = (position.get(f) for f in OPTIONAL_FIELDS)
+    isfinite = math.isfinite
+    values: list[float] = []
+    pitchers: list[str] = []
+    seasons: list[str] = []
+    labels: list[str] = []
+    flags: list[bool] = []
     rejected: list[tuple[int, str]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            pid = get(row, "pitcher_id").strip()
-            if not pid:
-                raise ValueError("missing pitcher_id")
-            record = PitchRecord(
-                pitcher_id=pid,
-                start_speed=_parse_float(get(row, "start_speed"), "start_speed"),
-                back_spin=_parse_float(get(row, "back_spin"), "back_spin"),
-                side_spin=_parse_float(get(row, "side_spin"), "side_spin"),
-                season=get(row, "season").strip() or None,
-                reference_label=get(row, "reference_label").strip() or None,
-                is_intentional_ball=_parse_flag(get(row, "intentional")),
-            )
-        except ValueError as exc:
-            rejected.append((line_no, str(MalformedRow(line_no, exc))))
-            continue
-        records.append(record)
+    next_line = reader.line_num + 1
+    for row in reader:
+        line_no, next_line = next_line, reader.line_num + 1
+        try:  # a well-formed row; any other row takes the per-cell path below
+            pid = row[i_pid].strip()
+            speed, back, side = float(row[i_speed]), float(row[i_back]), float(row[i_side])
+            flag = False if i_flag is None else _FLAGS[row[i_flag]]
+            season = "" if i_season is None else row[i_season].strip()
+            label = "" if i_label is None else row[i_label].strip()
+            if not (pid and 0.0 < speed < 200.0 and isfinite(back) and isfinite(side)):
+                raise ValueError
+        except (IndexError, KeyError, ValueError):
+            if not any(cell.strip() for cell in row):
+                continue
+            try:
+                rec = _parse_row(row, get)
+            except ValueError as exc:
+                rejected.append((line_no, str(MalformedRow(line_no, exc))))
+                continue
+            pid, speed, back, side = rec.pitcher_id, rec.start_speed, rec.back_spin, rec.side_spin
+            season, label = rec.season or "", rec.reference_label or ""
+            flag = rec.is_intentional_ball
+        values += (speed, back, side)
+        pitchers.append(pid)
+        seasons.append(season)
+        labels.append(label)
+        flags.append(flag)
 
-    if not records:
+    if not pitchers:
         raise EmptyDataset(
             f"no valid rows ({len(rejected)} malformed)", rejected=rejected
         )
-    return PitchDataset(tuple(records), rejected=tuple(rejected))
+    return PitchDataset.from_columns(np.array(values, dtype=np.float64).reshape(-1, 3),
+                                     pitchers, seasons, labels, flags, rejected=rejected)
 
 
 @contextmanager
@@ -238,16 +349,10 @@ def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_
             schema.back_spin, schema.side_spin, schema.reference_label,
             schema.intentional,
         ])
-        for rec in dataset.records:
-            writer.writerow([
-                rec.pitcher_id,
-                rec.season or "",
-                repr(float(rec.start_speed)),
-                repr(float(rec.back_spin)),
-                repr(float(rec.side_spin)),
-                rec.reference_label or "",
-                "1" if rec.is_intentional_ball else "0",
-            ])
+        speed, back, side = (map(repr, col) for col in dataset.to_matrix().T.tolist())
+        writer.writerows(zip(dataset.pitchers, dataset.seasons, speed, back, side,
+                             dataset.reference_labels,
+                             ["1" if flag else "0" for flag in dataset.intentional.tolist()]))
 
 
 def serialize_pitch_csv(dataset: PitchDataset, schema: ColumnSchema = DEFAULT_SCHEMA) -> str:
@@ -257,14 +362,13 @@ def serialize_pitch_csv(dataset: PitchDataset, schema: ColumnSchema = DEFAULT_SC
 
 
 def filter_pitches(dataset: PitchDataset) -> PitchDataset:
-    """Drop intentional balls, preserving record order.
+    """Drop intentional balls, preserving row order.
 
     The removal count is reported on ``removed_intentional`` of the result.
     Raises :class:`EmptyDataset` when every record was intentional.
     Idempotent: filtering an already-filtered dataset changes nothing.
     """
-    kept = tuple(r for r in dataset.records if not r.is_intentional_ball)
-    removed = dataset.n - len(kept)
-    if not kept:
+    kept = np.flatnonzero(~dataset.intentional)
+    if not kept.size:
         raise EmptyDataset(f"all {dataset.n} records are intentional balls")
-    return PitchDataset(kept, rejected=dataset.rejected, removed_intentional=removed)
+    return dataset._take(kept, dataset.rejected, dataset.n - kept.size)

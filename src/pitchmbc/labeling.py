@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -194,26 +196,32 @@ def classify_dataset(model: LabeledModel, data) -> tuple[np.ndarray, list[PitchT
     resp, _ = e_step(model.fit.components, data)
     idx = np.argmax(resp, axis=1)
     pmax = resp[np.arange(resp.shape[0]), idx]
-    return idx, [model.labels[i] for i in idx], pmax
+    return idx, [model.labels[i] for i in idx.tolist()], pmax
+
+
+def _names(types) -> map:
+    """``str`` of each type, computed once per distinct type."""
+    name = {pt: str(pt) for pt in set(types)}
+    return map(name.__getitem__, types)
 
 
 def write_labeled_csv(dest, indices, types, pmax, reference_labels=None) -> None:
     """Per-pitch labels: row_id, cluster_index, pitch_type, posterior_max, reference_label."""
-    refs = reference_labels if reference_labels is not None else [None] * len(indices)
+    indices = np.asarray(indices).tolist()
+    refs = repeat("") if reference_labels is None else (ref or "" for ref in reference_labels)
     with csv_rows(dest) as writer:
         writer.writerow(["row_id", "cluster_index", "pitch_type", "posterior_max", "reference_label"])
-        for row_id, (ci, pt, pm, ref) in enumerate(zip(indices, types, pmax, refs)):
-            writer.writerow([row_id, int(ci), str(pt), repr(float(pm)), ref or ""])
+        writer.writerows(zip(range(len(indices)), indices, _names(types),
+                             map(repr, np.asarray(pmax, dtype=np.float64).tolist()), refs))
 
 
 def confusion_counts(reference_labels, types) -> dict[tuple[str, str], int]:
     """Counts of (reference_label, assigned pitch_type) pairs, unlabeled rows skipped."""
     counts: dict[tuple[str, str], int] = {}
-    for ref, pt in zip(reference_labels, types):
-        if not ref:
-            continue
-        key = (ref, str(pt))
-        counts[key] = counts.get(key, 0) + 1
+    for (ref, pt), count in Counter(zip(reference_labels, types)).items():
+        if ref:
+            key = (ref, str(pt))
+            counts[key] = counts.get(key, 0) + count
     return counts
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import csv_rows
-from .labeling import PitchType
+from .labeling import PitchType, _names
 
 BASE_COLORS: dict[PitchType, str] = {
     PitchType.FOUR_SEAM: "red",
@@ -51,11 +51,10 @@ def cluster_colors(labels: Sequence[PitchType]) -> list[str]:
 def write_plot_csv(dest, X: np.ndarray, types: Sequence[PitchType],
                    colors: Sequence[str]) -> None:
     """Scatter rows: start_speed, back_spin, side_spin, pitch_type, color."""
+    speed, back, side = (map(repr, col) for col in np.asarray(X, dtype=np.float64).T.tolist())
     with csv_rows(dest) as writer:
         writer.writerow(["start_speed", "back_spin", "side_spin", "pitch_type", "color"])
-        for row, ptype, color in zip(X, types, colors):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(row[2])),
-                             str(ptype), color])
+        writer.writerows(zip(speed, back, side, _names(types), colors))
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
@@ -83,6 +82,7 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     n = X.shape[0] if X.size else 0
+    tail = {color: f' r="3" fill="{color}" fill-opacity="0.65"/>' for color in set(point_colors)}
     for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
         ox = p * (panel + 2 * margin + gap) + margin
         oy = margin
@@ -103,12 +103,10 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
             continue
         x_lo, x_hi = _axis_range(X[:, ix])
         y_lo, y_hi = _axis_range(X[:, iy])
-        sx = panel / (x_hi - x_lo)
-        sy = panel / (y_hi - y_lo)
-        for row, color in zip(X, point_colors):
-            cx = ox + (float(row[ix]) - x_lo) * sx
-            cy = oy + panel - (float(row[iy]) - y_lo) * sy
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="{color}" fill-opacity="0.65"/>')
+        cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
+        cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
+        parts += (f'<circle cx="{x:.2f}" cy="{y:.2f}"{tail[color]}'
+                  for x, y, color in zip(cx.tolist(), cy.tolist(), point_colors))
     if legend:
         lx = margin
         ly = panel + 2 * margin + 12

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import PitchDataset, PitchRecord
+from .ingest import PitchDataset
 
 # name -> (mean (speed, back, side), stddev) in mph / spin units
 ARCHETYPES: dict[str, tuple[tuple[float, float, float], tuple[float, float, float]]] = {
@@ -77,22 +77,6 @@ def three_separated_gaussians(seed: int = 0, n_per: int = 300, sigma: float = 1.
     return X, y, means
 
 
-def _records_from_matrix(X: np.ndarray, pitcher_id: str,
-                         reference_labels=None) -> PitchDataset:
-    refs = reference_labels if reference_labels is not None else [None] * X.shape[0]
-    records = tuple(
-        PitchRecord(
-            pitcher_id=pitcher_id,
-            start_speed=float(row[0]),
-            back_spin=float(row[1]),
-            side_spin=float(row[2]),
-            reference_label=ref,
-        )
-        for row, ref in zip(X, refs)
-    )
-    return PitchDataset(records)
-
-
 def archetype_pitcher(n: int, seed: int = 0, pitcher_id: str = "synth5",
                       weights=None, spread: float = 1.0,
                       with_reference: bool = True) -> tuple[PitchDataset, np.ndarray, list[str]]:
@@ -111,8 +95,8 @@ def archetype_pitcher(n: int, seed: int = 0, pitcher_id: str = "synth5",
     means = np.array([ARCHETYPES[name][0] for name in names])
     sds = np.array([ARCHETYPES[name][1] for name in names]) * spread
     X = means[comp] + rng.standard_normal((n, 3)) * sds[comp]
-    refs = [names[j] if with_reference else None for j in comp]
-    return _records_from_matrix(X, pitcher_id, refs), comp, names
+    refs = [names[j] if with_reference else "" for j in comp]
+    return PitchDataset.from_columns(X, (pitcher_id,) * n, reference_labels=refs), comp, names
 
 
 def curveball_evolution_pitcher(n: int, seed: int = 0,
@@ -134,7 +118,7 @@ def curveball_evolution_pitcher(n: int, seed: int = 0,
     comp = rng.choice(3, size=n, p=weights)
     X = means[comp] + rng.standard_normal((n, 3)) * sds[comp]
     refs = [names[j] for j in comp]
-    return _records_from_matrix(X, pitcher_id, refs), comp, names
+    return PitchDataset.from_columns(X, (pitcher_id,) * n, reference_labels=refs), comp, names
 
 
 def thin_split_matrix(n_half: int, rho: float = 0.92, dz: float = 0.9,

@@ -559,3 +559,25 @@ def test_subcommand_options_are_pinned():
         "batch": _INPUT_OPTIONS | _EM_OPTIONS | _SELECTION_OPTIONS | _LABEL_OPTIONS
         | {"--outdir", "--split", "--reps"},
     }
+
+
+@pytest.mark.parametrize("command", ["fit", "classify", "plot", "stability", "batch"])
+def test_rejected_rows_are_reported_on_stderr(command, fitted_model, tmp_path, capsys):
+    path = tmp_path / "one_bad_row.csv"
+    write_pitch_csv(archetype_pitcher(120, seed=3)[0], path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].replace(lines[5].split(",")[2], "fast", 1)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {"fit": ["--kmax", "2", "--out", str(out) + ".json"],
+            "classify": ["--model", str(fitted_model), "--out", str(out) + ".csv"],
+            "plot": ["--model", str(fitted_model), "--out", str(out)],
+            "stability": ["--k", "2", "--reps", "2", "--out", str(out) + ".csv"],
+            "batch": ["--kmax", "2", "--reps", "2", "--outdir", str(out)]}[command]
+    fast = [] if command in ("classify", "plot") else ["--restarts", "1"]
+    assert main([command, "--input", str(path)] + argv + fast) == 0
+    err = capsys.readouterr().err
+    assert "rejected 1 malformed rows; first row 6: could not convert string to float: 'fast'" \
+        in err.splitlines()
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
+    assert written and not any(b"fast" in p.read_bytes() for p in written)

@@ -310,7 +310,73 @@ def test_parse_matches_row_at_a_time_oracle(file, as_bytes):
                     dtype=np.float64)
     assert ds.to_matrix().dtype == np.float64
     assert ds.to_matrix().tobytes() == want.tobytes()
-    got = ds.records
-    for name in ("pitcher_id", "season", "reference_label", "is_intentional_ball"):
-        assert [getattr(r, name) for r in got] == [getattr(r, name) for r in records], name
+    assert ds.pitchers == tuple(r.pitcher_id for r in records)
+    assert ds.seasons == tuple(r.season or "" for r in records)
+    assert ds.reference_labels == tuple(r.reference_label or "" for r in records)
+    assert ds.intentional.tolist() == [r.is_intentional_ball for r in records]
+    assert ds.records == tuple(records)
     assert ds.rejected == tuple(rejected)
+
+
+SHORT_HEADER = "pitcher_id,start_speed,back_spin,side_spin"
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\x0c", "\x1e"])
+def test_only_real_line_ends_end_a_row(char):
+    text = f"{SHORT_HEADER}\nx{char}y,90,1,2\nz,oops,1,2\n"
+    ds = parse_pitch_csv(io.StringIO(text))
+    assert ds.pitchers == (f"x{char}y",)
+    assert ds.rejected == ((3, "row 3: could not convert string to float: 'oops'"),)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_rejected_rows_are_numbered_by_the_physical_line_they_start_on(end):
+    lines = [SHORT_HEADER, '"a', 'b",90,1,2', "c,oops,1,2", "", '"d', 'e",250,1,2', "f,91,1,2"]
+    ds = parse_pitch_csv(io.StringIO(end.join(lines) + end))
+    assert ds.pitchers == (f"a{end}b", "f")
+    assert [line for line, _ in ds.rejected] == [4, 6]
+    assert ds.rejected[1][1] == "row 6: start_speed 250.0 outside (0, 200)"
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+def test_byte_order_mark_is_not_part_of_the_header(kind, tmp_path):
+    text = "\ufeff" + SHORT_HEADER + "\nzito,88.5,100.0,-40.0\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8"))
+    source = {"path": path, "bytes": io.BytesIO(text.encode("utf-8")),
+              "text": io.StringIO(text)}[kind]
+    ds = parse_pitch_csv(source)
+    assert ds.pitchers == ("zito",)
+    assert ds.to_matrix().tolist() == [[88.5, 100.0, -40.0]]
+
+
+def test_dataset_columns_and_records_agree():
+    records = (PitchRecord("a", 90.0, 1.0, -1.0, season="2010", reference_label="FF"),
+               PitchRecord("b", 80.5, -2.0, 3.0, is_intentional_ball=True))
+    ds = PitchDataset(records, rejected=((3, "row 3: bad"),))
+    X = ds.to_matrix()
+    assert X is ds.to_matrix() and not X.flags.writeable
+    assert not ds.intentional.flags.writeable
+    assert ds.pitchers == ("a", "b") and ds.seasons == ("2010", "")
+    assert ds.reference_labels == ("FF", "") and ds.intentional.tolist() == [False, True]
+    assert ds.records == records
+    same = PitchDataset.from_columns(X, ["a", "b"], ["2010", ""], ["FF", ""], [False, True])
+    assert same == ds and same.rejected == ()
+    assert hash(same) == hash(ds)
+    with pytest.raises(AttributeError):
+        ds.pitchers = ("c", "d")
+
+
+def test_dataset_from_columns_checks_lengths_and_values():
+    X = np.array([[90.0, 1.0, 1.0], [80.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match="unequal length"):
+        PitchDataset.from_columns(X, ["a"])
+    with pytest.raises(ValueError, match="outside"):
+        PitchDataset.from_columns(X * [3.0, 1.0, 1.0], ["a", "a"])
+    with pytest.raises(ValueError, match="finite"):
+        PitchDataset.from_columns(X * [1.0, np.inf, 1.0], ["a", "a"])
+    with pytest.raises(EmptyDataset):
+        PitchDataset.from_columns(np.empty((0, 3)), [])
+    ds = PitchDataset.from_columns(X, ["a", "a"])
+    X[0, 0] = 70.0  # the dataset holds its own copy
+    assert ds.to_matrix()[0, 0] == 90.0
