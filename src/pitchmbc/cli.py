@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .archive import archive_from_results, load_archive, save_archive
 from .errors import ArchiveError, FitError, IngestError
-from .ingest import DEFAULT_SCHEMA, ColumnSchema, csv_rows, filter_pitches, parse_pitch_csv
+from .ingest import (OPTIONAL_FIELDS, REQUIRED_FIELDS, ColumnSchema, csv_rows, filter_pitches,
+                     parse_pitch_csv)
 from .labeling import (LabelConfig, classify_dataset, confusion_counts,
                        format_confusion, label_clusters, write_labeled_csv)
 from .mixture import POINTS_PER_COMPONENT, EmConfig, fit_em
@@ -119,11 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each --config section and the settings type it builds
+_SECTIONS = {"schema": ColumnSchema, "em": EmConfig, "selection": SelectionConfig,
+             "labels": LabelConfig}
+
+
 def _load_config_file(args) -> dict:
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    return _checked("config top level", cfg, ["schema", "em", "selection", "labels"])
+    return _checked("config top level", cfg, list(_SECTIONS))
 
 
 def _checked(where: str, values: dict, known) -> dict:
@@ -137,14 +143,6 @@ def _checked(where: str, values: dict, known) -> dict:
     return values
 
 
-def _section(cfg: dict, name: str, known) -> dict:
-    return _checked(f"config section {name!r}", cfg.get(name, {}), known)
-
-
-def _field_names(config_cls) -> list[str]:
-    return [f.name for f in fields(config_cls)]
-
-
 def _has_type(value, kind: type) -> bool:
     """An int field takes an int, a float field an int or a float, a str
     field a string; a bool is neither number."""
@@ -153,49 +151,61 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _typed_section(cfg: dict, name: str, config_cls) -> dict:
-    """Config-file section ``name``; each value must have the type of the
-    ``config_cls`` field it sets."""
-    section = _section(cfg, name, _field_names(config_cls))
+def _penalty_scale(value, where: str) -> float | None:
+    """None for 'auto' (= ln n), else the number ``value`` is or spells."""
+    if isinstance(value, str):
+        if value.lower() == "auto":
+            return None
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif _has_type(value, float):
+        return float(value)
+    raise ValueError(f"{where}: expected 'auto' or a number, got {value!r}")
+
+
+def _typed(f, value, where: str):
+    """``value`` for field ``f``, named ``where`` in an error; it must have
+    the type of the field's default."""
+    if f.name == "penalty_scale":
+        return _penalty_scale(value, where)
+    kind = type(f.default)
+    if not _has_type(value, kind):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _config_from(config_cls, name: str, flags: dict, cfg: dict):
+    """``config_cls`` from config-file section ``name``, each set flag taking precedence."""
+    section = _checked(f"config section {name!r}", cfg.get(name, {}),
+                       [f.name for f in fields(config_cls)])
+    values = {}
     for f in fields(config_cls):
-        kind = type(f.default)
-        if f.name in section and not _has_type(section[f.name], kind):
-            raise ValueError(f"config {name}.{f.name}: expected {kind.__name__}, "
-                             f"got {section[f.name]!r}")
-    return section
+        if f.name in section:
+            values[f.name] = _typed(f, section[f.name], f"config {name}.{f.name}")
+        if f.name in flags:
+            values[f.name] = _typed(f, flags[f.name], "--" + f.name.replace("_", "-"))
+    return config_cls(**values)
 
 
-def _schema_from(args, cfg: dict):
-    schema = replace(DEFAULT_SCHEMA, **_typed_section(cfg, "schema", ColumnSchema))
-    mapping = {}
-    if getattr(args, "columns", None):
+def _settings(args) -> dict:
+    """The value of each ``--config`` section in ``_SECTIONS``, with each set
+    flag on top of its section and each ``--columns`` entry on top of
+    ``schema``. Every section is built, and so checked, whether the command
+    uses it or not.
+    """
+    cfg = _load_config_file(args)
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    columns = {}
+    if args.columns:
         for pair in args.columns.split(","):
             logical, _, physical = pair.partition("=")
             if not physical:
                 raise ValueError(f"bad --columns entry {pair!r} (want logical=physical)")
-            mapping[logical.strip()] = physical.strip()
-    _checked("--columns", mapping, _field_names(ColumnSchema))
-    return schema.with_overrides(mapping or None, getattr(args, "delimiter", None))
-
-
-def _config_from(config_cls, name: str, args, cfg: dict):
-    """``config_cls`` from its config-file section, each set flag taking precedence."""
-    names = _field_names(config_cls)
-    flags = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
-    return config_cls(**{**_typed_section(cfg, name, config_cls), **flags})
-
-
-def _selection_from(args, cfg: dict, em: EmConfig) -> SelectionConfig:
-    section = _section(cfg, "selection", ["criterion", "penalty_scale"])
-    criterion = args.criterion or section.get("criterion", "bicadj")
-    raw_scale = args.penalty_scale
-    if raw_scale is None:
-        raw_scale = section.get("penalty_scale", "auto")
-        if not (isinstance(raw_scale, str) or _has_type(raw_scale, float)):
-            raise ValueError(f"config selection.penalty_scale: expected 'auto' or a "
-                             f"number, got {raw_scale!r}")
-    scale = None if str(raw_scale).lower() == "auto" else float(raw_scale)
-    return SelectionConfig(em=em, criterion=criterion, penalty_scale=scale)
+            columns[logical.strip()] = physical.strip()
+    flags.update(_checked("--columns", columns, REQUIRED_FIELDS + OPTIONAL_FIELDS))
+    return {name: _config_from(cls, name, flags, cfg) for name, cls in _SECTIONS.items()}
 
 
 def _load_dataset(args, schema, single_pitcher: bool):
@@ -214,21 +224,11 @@ def _load_dataset(args, schema, single_pitcher: bool):
     return dataset
 
 
-def _fit_settings(args) -> tuple[ColumnSchema, SelectionConfig, LabelConfig]:
-    """Schema, selection (which carries the EM config) and labels for fit and batch."""
-    cfg = _load_config_file(args)
-    em = _config_from(EmConfig, "em", args, cfg)
-    return (_schema_from(args, cfg), _selection_from(args, cfg, em),
-            _config_from(LabelConfig, "labels", args, cfg))
-
-
 def _fit_pitcher(args, data, kmax: int, settings, archive_path, scores_path):
     """Select k, label the winner, write its archive and score table."""
-    schema, sel_cfg, label_cfg = settings
-    result = select_k(data, args.kmin, kmax, sel_cfg)
-    labeled = label_clusters(result.best, label_cfg, anchor_override=args.swap_anchor)
-    config = {"schema": asdict(schema), "selection": asdict(sel_cfg), "labels": asdict(label_cfg)}
-    config["em"] = config["selection"].pop("em")
+    result = select_k(data, args.kmin, kmax, settings["selection"], settings["em"])
+    labeled = label_clusters(result.best, settings["labels"], anchor_override=args.swap_anchor)
+    config = {name: asdict(value) for name, value in settings.items()}
     save_archive(archive_from_results(data.single_pitcher_id(), labeled, result, config),
                  archive_path)
     write_score_csv(result, scores_path)
@@ -237,18 +237,16 @@ def _fit_pitcher(args, data, kmax: int, settings, archive_path, scores_path):
 
 def _classify_input(args):
     """The saved model, the filtered input, and (index, type, max posterior) per pitch."""
+    schema = _settings(args)["schema"]
     archive = load_archive(args.model)
-    schema = _schema_from(args, _load_config_file(args))
     filtered = filter_pitches(_load_dataset(args, schema, single_pitcher=False))
     model = archive.labeled_model()
     return model, filtered, classify_dataset(model, filtered)
 
 
 def cmd_fit(args) -> int:
-    settings = _fit_settings(args)
-    schema, _, _ = settings
-    dataset = _load_dataset(args, schema, single_pitcher=True)
-    filtered = filter_pitches(dataset)
+    settings = _settings(args)
+    filtered = filter_pitches(_load_dataset(args, settings["schema"], single_pitcher=True))
     if filtered.removed_intentional:
         print(f"filtered {filtered.removed_intentional} intentional balls", file=sys.stderr)
 
@@ -277,14 +275,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = _load_config_file(args)
-    schema = _schema_from(args, cfg)
-    em = _config_from(EmConfig, "em", args, cfg)
-    dataset = _load_dataset(args, schema, single_pitcher=True)
-    filtered = filter_pitches(dataset)
+    settings = _settings(args)
+    em = settings["em"]
+    filtered = filter_pitches(_load_dataset(args, settings["schema"], single_pitcher=True))
     check_split(filtered.n, args.k, args.split, args.reps)
     report = stability_run(filtered, fit_em(filtered, args.k, em), split=args.split,
-                           replications=args.reps, seed=em.seed, em_config=em)
+                           replications=args.reps, em_config=em)
     write_stability_csv(report, args.out)
     print(f"pitcher {report.pitcher_id}: k={report.k}, "
           f"mean_80={report.mean_80:.4f} (se {report.stderr_80:.4f}), "
@@ -321,9 +317,8 @@ def cmd_batch(args) -> int:
         raise ValueError(f"--split must lie strictly between 0 and 1, got {args.split}")
     if not 1 <= args.kmin <= args.kmax:
         raise ValueError(f"need 1 <= --kmin <= --kmax, got [{args.kmin}, {args.kmax}]")
-    settings = _fit_settings(args)
-    schema, sel_cfg, _ = settings
-    dataset = _load_dataset(args, schema, single_pitcher=False)
+    settings = _settings(args)
+    dataset = _load_dataset(args, settings["schema"], single_pitcher=False)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -346,8 +341,7 @@ def cmd_batch(args) -> int:
             if args.reps > 0:
                 # stability is measured against the clustering the archive reports
                 report = stability_run(filtered, result.best, split=args.split,
-                                       replications=args.reps, seed=sel_cfg.em.seed,
-                                       em_config=sel_cfg.em)
+                                       replications=args.reps, em_config=settings["em"])
                 write_stability_csv(report, outdir / f"{pitcher_id}_stability.csv")
                 row.update(mean_80=repr(report.mean_80), stderr_80=repr(report.stderr_80),
                            mean_20=repr(report.mean_20), stderr_20=repr(report.stderr_20))

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -47,13 +47,6 @@ class ColumnSchema:
     def __post_init__(self):
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-
-    def with_overrides(self, mapping: dict[str, str] | None = None,
-                       delimiter: str | None = None) -> "ColumnSchema":
-        changes: dict[str, str] = dict(mapping or {})
-        if delimiter is not None:
-            changes["delimiter"] = delimiter
-        return replace(self, **changes) if changes else self
 
 
 DEFAULT_SCHEMA = ColumnSchema()
@@ -256,63 +249,69 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
     unparseable required values are rejected (not fatal) and reported on
     ``dataset.rejected`` as (line_number, reason), where line_number is the
     physical line the row starts on and the header starts on line 1.
-    Raises :class:`MissingColumn` when a required field has no column and
-    :class:`EmptyDataset` when no row survives.
+    Raises :class:`MissingColumn` when a required field has no column,
+    :class:`MalformedRow` when the csv module cannot read a row (a cell over
+    its field size limit) and :class:`EmptyDataset` when no row survives.
     """
     reader = csv.reader(io.StringIO(_read_text(source), newline=""), delimiter=schema.delimiter)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyDataset("input has no header")
-    header = [h.strip() for h in header]
-    position: dict[str, int] = {}
-    for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
-        column = getattr(schema, logical)
-        try:
-            position[logical] = header.index(column)
-        except ValueError:
-            if logical in REQUIRED_FIELDS:
-                raise MissingColumn(logical, column) from None
-
-    def get(row: Sequence[str], logical: str) -> str:
-        idx = position.get(logical)
-        return row[idx] if idx is not None and idx < len(row) else ""
-
-    i_pid, i_speed, i_back, i_side = (position[f] for f in REQUIRED_FIELDS)
-    i_season, i_label, i_flag = (position.get(f) for f in OPTIONAL_FIELDS)
-    isfinite = math.isfinite
-    values: list[float] = []
-    pitchers: list[str] = []
-    seasons: list[str] = []
-    labels: list[str] = []
-    flags: list[bool] = []
-    rejected: list[tuple[int, str]] = []
-    next_line = reader.line_num + 1
-    for row in reader:
-        line_no, next_line = next_line, reader.line_num + 1
-        try:  # a well-formed row; any other row takes the per-cell path below
-            pid = row[i_pid].strip()
-            speed, back, side = float(row[i_speed]), float(row[i_back]), float(row[i_side])
-            flag = False if i_flag is None else _FLAGS[row[i_flag]]
-            season = "" if i_season is None else row[i_season].strip()
-            label = "" if i_label is None else row[i_label].strip()
-            if not (pid and 0.0 < speed < 200.0 and isfinite(back) and isfinite(side)):
-                raise ValueError
-        except (IndexError, KeyError, ValueError):
-            if not any(cell.strip() for cell in row):
-                continue
+    next_line = 1  # the physical line the row being read starts on
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset("input has no header")
+        header = [h.strip() for h in header]
+        position: dict[str, int] = {}
+        for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            column = getattr(schema, logical)
             try:
-                rec = _parse_row(row, get)
-            except ValueError as exc:
-                rejected.append((line_no, str(MalformedRow(line_no, exc))))
-                continue
-            pid, speed, back, side = rec.pitcher_id, rec.start_speed, rec.back_spin, rec.side_spin
-            season, label = rec.season or "", rec.reference_label or ""
-            flag = rec.is_intentional_ball
-        values += (speed, back, side)
-        pitchers.append(pid)
-        seasons.append(season)
-        labels.append(label)
-        flags.append(flag)
+                position[logical] = header.index(column)
+            except ValueError:
+                if logical in REQUIRED_FIELDS:
+                    raise MissingColumn(logical, column) from None
+
+        def get(row: Sequence[str], logical: str) -> str:
+            idx = position.get(logical)
+            return row[idx] if idx is not None and idx < len(row) else ""
+
+        i_pid, i_speed, i_back, i_side = (position[f] for f in REQUIRED_FIELDS)
+        i_season, i_label, i_flag = (position.get(f) for f in OPTIONAL_FIELDS)
+        isfinite = math.isfinite
+        values: list[float] = []
+        pitchers: list[str] = []
+        seasons: list[str] = []
+        labels: list[str] = []
+        flags: list[bool] = []
+        rejected: list[tuple[int, str]] = []
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
+            try:  # a well-formed row; any other row takes the per-cell path below
+                pid = row[i_pid].strip()
+                speed, back, side = float(row[i_speed]), float(row[i_back]), float(row[i_side])
+                flag = False if i_flag is None else _FLAGS[row[i_flag]]
+                season = "" if i_season is None else row[i_season].strip()
+                label = "" if i_label is None else row[i_label].strip()
+                if not (pid and 0.0 < speed < 200.0 and isfinite(back) and isfinite(side)):
+                    raise ValueError
+            except (IndexError, KeyError, ValueError):
+                if not any(cell.strip() for cell in row):
+                    continue
+                try:
+                    rec = _parse_row(row, get)
+                except ValueError as exc:
+                    rejected.append((line_no, str(MalformedRow(line_no, exc))))
+                    continue
+                pid, speed = rec.pitcher_id, rec.start_speed
+                back, side = rec.back_spin, rec.side_spin
+                season, label = rec.season or "", rec.reference_label or ""
+                flag = rec.is_intentional_ball
+            values += (speed, back, side)
+            pitchers.append(pid)
+            seasons.append(season)
+            labels.append(label)
+            flags.append(flag)
+    except csv.Error as exc:  # a cell over the csv module's field size limit, say
+        raise MalformedRow(next_line, exc) from None
 
     if not pitchers:
         raise EmptyDataset(

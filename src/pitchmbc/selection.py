@@ -10,7 +10,7 @@ strongly-correlated clusters. Lower is better for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FitError, NoViableK, TooFewPoints
@@ -46,13 +46,10 @@ class CriterionScore:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Scan configuration: EM settings plus the criterion choice.
-
-    ``penalty_scale`` None means automatic: ln(n), the same per-unit cost
-    as one BIC parameter.
+    """The criterion that picks k. ``penalty_scale`` None means automatic:
+    ln(n), the same per-unit cost as one BIC parameter.
     """
 
-    em: EmConfig = field(default_factory=EmConfig)
     criterion: str = "bicadj"
     penalty_scale: float | None = None
 
@@ -67,7 +64,6 @@ class SelectionConfig:
 @dataclass(frozen=True)
 class SelectionResult:
     best: FittedMixture
-    best_score: CriterionScore
     scores: tuple[CriterionScore, ...]
     failures: tuple[tuple[int, str], ...]
     criterion: str
@@ -119,9 +115,9 @@ def choose_best(fits: Sequence[FittedMixture], n: int, criterion: str,
     return best_idx, scores
 
 
-def select_k(data, k_min: int, k_max: int,
-             config: SelectionConfig = SelectionConfig()) -> SelectionResult:
-    """Fit every k in [k_min, k_max] and keep the criterion minimizer.
+def select_k(data, k_min: int, k_max: int, config: SelectionConfig = SelectionConfig(),
+             em: EmConfig = EmConfig()) -> SelectionResult:
+    """Fit every k in [k_min, k_max] with ``em`` and keep the criterion minimizer.
 
     k values whose fits fail entirely are recorded on ``failures`` and
     skipped. Raises :class:`NoViableK` when nothing fits and
@@ -140,7 +136,7 @@ def select_k(data, k_min: int, k_max: int,
     failures: list[tuple[int, str]] = []
     for k in range(k_min, k_max + 1):
         try:
-            fits.append(fit_em(X, k, config.em))
+            fits.append(fit_em(X, k, em))
         except FitError as exc:
             failures.append((k, str(exc)))
     if not fits:
@@ -149,7 +145,6 @@ def select_k(data, k_min: int, k_max: int,
     best_idx, scores = choose_best(fits, n, config.criterion, penalty_scale)
     return SelectionResult(
         best=fits[best_idx],
-        best_score=scores[best_idx],
         scores=scores,
         failures=tuple(failures),
         criterion=config.criterion,

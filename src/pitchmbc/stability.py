@@ -174,15 +174,16 @@ def check_split(n: int, k: int, split: float, replications: int) -> None:
 
 
 def stability_run(data, reference: FittedMixture, split: float = 0.8, replications: int = 20,
-                  seed: int = 0, em_config: EmConfig | None = None) -> StabilityReport:
+                  em_config: EmConfig = EmConfig()) -> StabilityReport:
     """Measure assignment stability of a fixed-k clustering under subsampling.
 
     ``reference`` is the full-data fit (for example the one ``select_k``
     chose); k is ``reference.k`` and is never re-selected. Each replication
     draws a seeded uniform permutation split; both parts are refit
     independently and compared (after alignment) against the reference's
-    assignments restricted to each part's points. Pure function of
-    (data, reference, split, replications, seed, em_config).
+    assignments restricted to each part's points. ``em_config.seed`` seeds
+    the splits and the subset fits. Pure function of (data, reference,
+    split, replications, em_config).
     """
     X = _as_matrix(data)
     n = X.shape[0]
@@ -195,7 +196,7 @@ def stability_run(data, reference: FittedMixture, split: float = 0.8, replicatio
     if hasattr(data, "single_pitcher_id"):
         pitcher_id = data.single_pitcher_id()
 
-    base = em_config if em_config is not None else EmConfig()
+    seed = em_config.seed
     assign = reference.assignments()
 
     results: list[tuple[float, float]] = []
@@ -206,8 +207,8 @@ def stability_run(data, reference: FittedMixture, split: float = 0.8, replicatio
         seed_major = int(rng.integers(2**31 - 1))
         seed_minor = int(rng.integers(2**31 - 1))
         try:
-            fit_major = fit_em(X[idx_major], k, replace(base, seed=seed_major))
-            fit_minor = fit_em(X[idx_minor], k, replace(base, seed=seed_minor))
+            fit_major = fit_em(X[idx_major], k, replace(em_config, seed=seed_major))
+            fit_minor = fit_em(X[idx_minor], k, replace(em_config, seed=seed_minor))
         except FitError as exc:
             failures.append((rep, str(exc)))
             continue

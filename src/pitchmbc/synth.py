@@ -77,6 +77,18 @@ def three_separated_gaussians(seed: int = 0, n_per: int = 300, sigma: float = 1.
     return X, y, means
 
 
+def _sample_pitcher(n: int, seed: int, pitcher_id: str, names: list[str], means, sds, weights,
+                    with_reference: bool = True) -> tuple[PitchDataset, np.ndarray, list[str]]:
+    """n pitches from independent normal components (row j of ``means`` and
+    ``sds`` is component ``names[j]``, drawn with probability ``weights[j]``);
+    returns (dataset, component_ids, names)."""
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(len(names), size=n, p=weights)
+    X = means[comp] + rng.standard_normal((n, 3)) * sds[comp]
+    refs = [names[j] if with_reference else "" for j in comp]
+    return PitchDataset.from_columns(X, (pitcher_id,) * n, reference_labels=refs), comp, names
+
+
 def archetype_pitcher(n: int, seed: int = 0, pitcher_id: str = "synth5",
                       weights=None, spread: float = 1.0,
                       with_reference: bool = True) -> tuple[PitchDataset, np.ndarray, list[str]]:
@@ -89,14 +101,10 @@ def archetype_pitcher(n: int, seed: int = 0, pitcher_id: str = "synth5",
     """
     names = list(ARCHETYPES)
     weights = np.asarray(weights if weights is not None else DEFAULT_ARCHETYPE_WEIGHTS)
-    weights = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(len(names), size=n, p=weights)
     means = np.array([ARCHETYPES[name][0] for name in names])
     sds = np.array([ARCHETYPES[name][1] for name in names]) * spread
-    X = means[comp] + rng.standard_normal((n, 3)) * sds[comp]
-    refs = [names[j] if with_reference else "" for j in comp]
-    return PitchDataset.from_columns(X, (pitcher_id,) * n, reference_labels=refs), comp, names
+    return _sample_pitcher(n, seed, pitcher_id, names, means, sds, weights / weights.sum(),
+                           with_reference)
 
 
 def curveball_evolution_pitcher(n: int, seed: int = 0,
@@ -113,12 +121,7 @@ def curveball_evolution_pitcher(n: int, seed: int = 0,
         [0.7, 11.0, 9.0],
         [0.7, 11.0, 9.0],
     ])
-    weights = np.array([0.4, 0.3, 0.3])
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(3, size=n, p=weights)
-    X = means[comp] + rng.standard_normal((n, 3)) * sds[comp]
-    refs = [names[j] for j in comp]
-    return PitchDataset.from_columns(X, (pitcher_id,) * n, reference_labels=refs), comp, names
+    return _sample_pitcher(n, seed, pitcher_id, names, means, sds, np.array([0.4, 0.3, 0.3]))
 
 
 def thin_split_matrix(n_half: int, rho: float = 0.92, dz: float = 0.9,

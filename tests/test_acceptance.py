@@ -83,8 +83,8 @@ def test_criterion_03_bic_adj_rejects_thin_split():
     X = thin_split_matrix(23, rho=0.90, dz=0.0, seed=0)
     n = X.shape[0]
     em = EmConfig(seed=101, restarts=8)
-    res_bic = select_k(X, 1, 2, SelectionConfig(em=em, criterion="bic"))
-    res_adj = select_k(X, 1, 2, SelectionConfig(em=em, criterion="bicadj"))
+    res_bic = select_k(X, 1, 2, SelectionConfig(criterion="bic"), em)
+    res_adj = select_k(X, 1, 2, SelectionConfig(criterion="bicadj"), em)
 
     split_fit = next(f for f in (res_bic.best, res_adj.best) if f.k == 2) \
         if 2 in (res_bic.best.k, res_adj.best.k) else fit_em(X, 2, em)
@@ -102,8 +102,7 @@ def test_criterion_04_k_selection_100_seeds():
     picks = []
     for seed in range(100):
         X, _, _ = three_separated_gaussians(seed=seed, n_per=300)
-        res = select_k(X, 1, 8, SelectionConfig(
-            em=EmConfig(seed=seed, restarts=3, max_iter=300, tol=1e-7)))
+        res = select_k(X, 1, 8, em=EmConfig(seed=seed, restarts=3, max_iter=300, tol=1e-7))
         picks.append(res.best.k)
         hits += (res.best.k == 3)
     report(4, "select_k returns k=3 on >= 95 of 100 seeds",
@@ -155,8 +154,9 @@ def test_criterion_07_stability_at_n100():
     passes, lows = 0, []
     for seed in range(50):
         ds, _, _ = archetype_pitcher(100, seed=seed, weights=weights)
-        rep = stability_run(ds, fit_em(ds, 5, replace(em, seed=seed)), split=0.8,
-                            replications=20, seed=seed, em_config=em)
+        em_seed = replace(em, seed=seed)
+        rep = stability_run(ds, fit_em(ds, 5, em_seed), split=0.8, replications=20,
+                            em_config=em_seed)
         if rep.mean_80 >= 0.80 and rep.mean_20 >= 0.80:
             passes += 1
         else:
@@ -198,8 +198,7 @@ def test_criterion_09_determinism_and_roundtrips(tmp_path):
 
     # (b) load(save(m)) is exact
     filtered = filter_pitches(parse_pitch_csv(data_path))
-    result = select_k(filtered, 1, 6, SelectionConfig(
-        em=EmConfig(seed=11, restarts=3, max_iter=300, tol=1e-7)))
+    result = select_k(filtered, 1, 6, em=EmConfig(seed=11, restarts=3, max_iter=300, tol=1e-7))
     archive = archive_from_results("synth5", label_clusters(result.best), result)
     path = tmp_path / "direct.json"
     save_archive(archive, path)
@@ -228,6 +227,6 @@ ZITO_ENV = "PITCHMBC_ZITO_CSV"
 def test_criterion_10_zito_selects_five_clusters():
     ds = parse_pitch_csv(os.environ[ZITO_ENV])
     filtered = filter_pitches(ds)
-    res = select_k(filtered, 1, 9, SelectionConfig(em=EmConfig(seed=42)))
+    res = select_k(filtered, 1, 9, em=EmConfig(seed=42))
     report(10, "Zito 2010-11 selects five clusters under BIC_adj",
            res.best.k == 5, f"k={res.best.k} n={filtered.n}")

@@ -8,14 +8,13 @@ from pitchmbc.archive import (archive_from_results, archive_to_json, load_archiv
 from pitchmbc.errors import ArchiveError, ArchiveVersionMismatch
 from pitchmbc.labeling import label_clusters
 from pitchmbc.mixture import EmConfig
-from pitchmbc.selection import SelectionConfig, select_k
+from pitchmbc.selection import select_k
 from pitchmbc.synth import archetype_pitcher
 
 
 def small_archive(seed=4):
     ds, _, _ = archetype_pitcher(200, seed=seed)
-    result = select_k(ds, 1, 5, SelectionConfig(em=EmConfig(seed=seed, restarts=2,
-                                                            max_iter=200, tol=1e-7)))
+    result = select_k(ds, 1, 5, em=EmConfig(seed=seed, restarts=2, max_iter=200, tol=1e-7))
     labeled = label_clusters(result.best)
     return archive_from_results("synth5", labeled, result,
                                 {"labels": {"changeup_speed_gap": 6.0}})

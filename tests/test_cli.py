@@ -1,7 +1,10 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,11 @@ import pytest
 from helpers import child_env
 from pitchmbc.archive import load_archive
 from pitchmbc.cli import build_parser, main
-from pitchmbc.ingest import PitchDataset, PitchRecord, parse_pitch_csv, write_pitch_csv
+from pitchmbc.ingest import (ColumnSchema, PitchDataset, PitchRecord, parse_pitch_csv,
+                             write_pitch_csv)
 from pitchmbc.labeling import LabelConfig, PitchType
 from pitchmbc.mixture import EmConfig
-from pitchmbc.selection import SelectionConfig, select_k
+from pitchmbc.selection import select_k
 from pitchmbc.synth import archetype_pitcher
 
 FIT_SPEED_FLAGS = ["--restarts", "2", "--max-iter", "200", "--tol", "1e-7"]
@@ -91,8 +95,7 @@ def test_classify_self_consistent_with_training_fit(pitcher_csv, fitted_model, t
     ds = parse_pitch_csv(pitcher_csv)
     assert len(lines) == ds.n + 1
     # classify must agree with the training responsibilities' argmax
-    refit = select_k(ds, 1, 7, SelectionConfig(
-        em=EmConfig(seed=42, restarts=2, max_iter=200, tol=1e-7)))
+    refit = select_k(ds, 1, 7, em=EmConfig(seed=42, restarts=2, max_iter=200, tol=1e-7))
     expect = refit.best.assignments()
     got = np.array([int(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(got, expect)
@@ -307,36 +310,79 @@ NOT_OBJECTS = [("top-list", [1, 2], "config top level: expected a JSON object"),
                ("em-list", {"em": ["restarts"]}, "config section 'em': expected a JSON object")]
 
 
-def _bad_config_cases(command, unknown_keys):
+COMMANDS = ["fit", "classify", "plot", "stability", "batch"]
+
+
+def _command_args(command, model, out):
+    """The arguments besides --input that ``command`` needs, writing only under ``out``."""
+    return {"fit": ["--out", f"{out}.json"],
+            "classify": ["--model", str(model), "--out", f"{out}.csv"],
+            "plot": ["--model", str(model), "--out", str(out)],
+            "stability": ["--k", "2", "--out", f"{out}.csv"],
+            "batch": ["--outdir", str(out)]}[command]
+
+
+def _bad_config_cases(command):
     return ([pytest.param(command, {s: {k: 5}}, [f"config section '{s}'", k],
-                          id=f"{command}-{s}-{k}") for s, k in unknown_keys]
+                          id=f"{command}-{s}-{k}") for s, k in UNKNOWN_KEYS]
             + [pytest.param(command, doc, [message], id=f"{command}-{name}")
                for name, doc, message in NOT_OBJECTS]
             # a misspelled section name, which would otherwise leave the defaults on
             + [pytest.param(command, {"emm": {"restarts": 0}},
                             ["config top level: unknown key(s) emm",
                              "(known: schema, em, selection, labels)"],
-                            id=f"{command}-unknown-section")])
+                            id=f"{command}-unknown-section")]
+            # a bad value in a section the command itself does not use
+            + [pytest.param(command, {"selection": {"penalty_scale": "big"}},
+                            ["error: config selection.penalty_scale: expected 'auto' or a "
+                             "number, got 'big'"],
+                            id=f"{command}-bad-penalty-scale")])
 
 
 @pytest.mark.parametrize("command,doc,messages",
-                         _bad_config_cases("fit", UNKNOWN_KEYS)
-                         + _bad_config_cases("batch", UNKNOWN_KEYS)
-                         + _bad_config_cases("stability", UNKNOWN_KEYS[:2]))
-def test_config_unknown_key_is_validation_error(tmp_path, capsys, command, doc, messages):
+                         [case for command in COMMANDS for case in _bad_config_cases(command)])
+def test_config_unknown_key_is_validation_error(tmp_path, capsys, fitted_model, command, doc,
+                                                messages):
     ds, _, _ = archetype_pitcher(40, seed=3)
     data = tmp_path / "p.csv"
     write_pitch_csv(ds, data)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    out = {"fit": ["--out", str(tmp_path / "m.json")],
-           "stability": ["--k", "2", "--out", str(tmp_path / "s.csv")],
-           "batch": ["--outdir", str(tmp_path / "b")]}[command]
+    out = _command_args(command, fitted_model, tmp_path / "out")
     code = main([command, "--input", str(data), "--config", str(cfg)] + out)
     assert code == 4
     err = capsys.readouterr().err
     assert all(message in err for message in messages)
-    assert not any(tmp_path.glob("m.json")) and not (tmp_path / "b").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "p.csv"]
+
+
+def test_archive_config_holds_every_config_section(fitted_model):
+    assert sorted(load_archive(fitted_model).config) == sorted(["schema", "em", "selection",
+                                                                "labels"])
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
+def test_bad_penalty_scale_flag_names_the_flag(pitcher_csv, tmp_path, capsys, command):
+    code = main([command, "--input", str(pitcher_csv), "--penalty-scale", "big"]
+                + _command_args(command, None, tmp_path / "out"))
+    assert code == 4
+    assert "error: --penalty-scale: expected 'auto' or a number, got 'big'" \
+        in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_oversized_cell_is_validation_error(fitted_model, tmp_path, capsys, command):
+    path = tmp_path / "huge_cell.csv"
+    write_pitch_csv(archetype_pitcher(120, seed=3)[0], path)
+    lines = path.read_text().splitlines()
+    lines[2] = "x" * 140_000 + lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    code = main([command, "--input", str(path)]
+                + _command_args(command, fitted_model, tmp_path / "out"))
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: row 3: field larger than field limit")
+    assert [p.name for p in tmp_path.iterdir()] == ["huge_cell.csv"]
 
 
 def _flag_or_config(tmp_path, source, section, key, value):
@@ -435,6 +481,18 @@ def test_columns_unknown_field_is_validation_error(pitcher_csv, tmp_path, capsys
                  "--out", str(tmp_path / "m.json")])
     assert code == 4
     assert "--columns: unknown key(s) speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_columns_does_not_set_the_delimiter(fitted_model, tmp_path, capsys, command):
+    path = tmp_path / "semicolons.csv"
+    write_pitch_csv(archetype_pitcher(120, seed=3)[0], path, ColumnSchema(delimiter=";"))
+    code = main([command, "--input", str(path), "--columns", "delimiter=;"]
+                + _command_args(command, fitted_model, tmp_path / "out"))
+    assert code == 4
+    assert "error: --columns: unknown key(s) delimiter (known: pitcher_id, " \
+        in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["semicolons.csv"]
 
 
 def test_pitcher_flag_and_batch(tmp_path):
@@ -543,6 +601,16 @@ _EM_OPTIONS = {"--seed", "--restarts", "--max-iter", "--tol", "--ridge"}
 _SELECTION_OPTIONS = {"--kmin", "--kmax", "--criterion", "--penalty-scale"}
 _LABEL_OPTIONS = {"--sidespin-band", "--changeup-speed-gap", "--cutter-speed-gap",
                   "--curveball-backspin-max", "--knuckleball-spin-var-ratio", "--swap-anchor"}
+
+
+def test_every_option_is_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    options = {opt for sub in subparsers.choices.values() for action in sub._actions
+               if not isinstance(action, argparse._HelpAction) for opt in action.option_strings}
+    missing = [opt for opt in sorted(options)
+               if not re.search(re.escape(opt) + r"(?![\w-])", readme)]
+    assert not missing
 
 
 def test_subcommand_options_are_pinned():

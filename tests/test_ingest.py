@@ -177,13 +177,13 @@ def _csv_writers():
     types = [PitchType.FOUR_SEAM, PitchType.CURVEBALL]
     score = CriterionScore(k=1, log_likelihood=-1.5, bic=3.5, correlation_penalty=0.25,
                            bic_adj=3.75, penalty_scale=0.7, converged=True)
-    result = SelectionResult(best=None, best_score=score, scores=(score,),
+    result = SelectionResult(best=None, scores=(score,),
                              failures=((2, "degenerate, twice"),), criterion="bicadj",
                              penalty_scale=0.7)
     report = StabilityReport("josé", 2, 0.8, 2, 0, ((1.0, 0.5),), ((1, "empty"),),
                              1.0, 0.5, 0.0, 0.0)
     return {
-        "pitch": lambda d: write_pitch_csv(ds, d, DEFAULT_SCHEMA.with_overrides(delimiter=";")),
+        "pitch": lambda d: write_pitch_csv(ds, d, ColumnSchema(delimiter=";")),
         "labeled": lambda d: write_labeled_csv(d, [0, 1], types, [0.9, 0.6], ["FF", None]),
         "plot": lambda d: write_plot_csv(d, ds.to_matrix(), types, ["red", "black"]),
         "score": lambda d: write_score_csv(result, d),
@@ -269,7 +269,7 @@ def pitch_files(draw):
     columns = draw(st.permutations(["pitcher_id", "start_speed", "back_spin", "side_spin"]
                                    + optional))
     delimiter = draw(st.sampled_from([",", ";"]))
-    schema = DEFAULT_SCHEMA.with_overrides({"back_spin": "bspin"}, delimiter)
+    schema = ColumnSchema(back_spin="bspin", delimiter=delimiter)
     names = [("notes" if f == "extra" else getattr(schema, f)) for f in columns]
     header = [f" {name} " if draw(st.booleans()) else name for name in names]
     lines = [delimiter.join(header)]

@@ -16,7 +16,7 @@ from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovari
                              TooFewPoints)
 from pitchmbc.mixture import (SHORT_ITER, EmConfig, FittedMixture, MixtureComponent, e_step,
                               fit_em, log_density, m_step, param_count, posterior_assign)
-from pitchmbc.selection import SelectionConfig, choose_best, select_k
+from pitchmbc.selection import choose_best, select_k
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs, three_separated_gaussians
 
 LOG_2PI = math.log(2 * math.pi)
@@ -521,7 +521,7 @@ def test_short_em_keeps_full_em_optimum_and_selection(seed):
     n = X.shape[0]
     config = EmConfig()
     ref = [reference_fit_em(X, k, config) for k in range(1, 10)]
-    result = select_k(X, 1, 9, SelectionConfig(em=config))
+    result = select_k(X, 1, 9, em=config)
     assert not result.failures
     for k in range(1, 6):
         assert result.scores[k - 1].log_likelihood == pytest.approx(

@@ -139,8 +139,7 @@ def three_blob_data(seed, n_per=300):
 
 def test_select_k_finds_three_clusters_and_neighbors_score_worse():
     X, _ = three_blob_data(seed=42)
-    res = select_k(X, 1, 8, SelectionConfig(em=EmConfig(seed=42, restarts=3, tol=1e-7,
-                                                        max_iter=300)))
+    res = select_k(X, 1, 8, em=EmConfig(seed=42, restarts=3, tol=1e-7, max_iter=300))
     assert res.best.k == 3
     by_k = {s.k: s for s in res.scores}
     assert by_k[3].bic_adj < by_k[2].bic_adj
@@ -151,7 +150,7 @@ def test_select_k_finds_three_clusters_and_neighbors_score_worse():
 
 def test_select_k_single_k_trivial():
     X, _ = three_blob_data(seed=1, n_per=30)
-    res = select_k(X, 1, 1, SelectionConfig(em=EmConfig(seed=0)))
+    res = select_k(X, 1, 1, em=EmConfig(seed=0))
     assert res.best.k == 1
     assert len(res.scores) == 1
 
@@ -165,14 +164,14 @@ def test_select_k_too_few_points():
 def test_select_k_no_viable_k():
     X = np.tile([1.0, 2.0, 3.0], (8, 1))  # identical rows: every fit degenerate
     with pytest.raises(NoViableK):
-        select_k(X, 1, 2, SelectionConfig(em=EmConfig(seed=0, restarts=2)))
+        select_k(X, 1, 2, em=EmConfig(seed=0, restarts=2))
 
 
 def test_select_k_records_failed_k_and_continues():
     # two tight blobs plus no third structure: k=2 fine; degenerate duplicates
     # are exercised above, here every k fits, so failures stays empty
     X, _ = three_blob_data(seed=7, n_per=50)
-    res = select_k(X, 2, 4, SelectionConfig(em=EmConfig(seed=7, restarts=2)))
+    res = select_k(X, 2, 4, em=EmConfig(seed=7, restarts=2))
     assert {s.k for s in res.scores} == {2, 3, 4}
 
 
@@ -187,7 +186,7 @@ def test_selection_config_validation():
 
 def test_score_csv_shape():
     X, _ = three_blob_data(seed=3, n_per=40)
-    res = select_k(X, 1, 3, SelectionConfig(em=EmConfig(seed=3, restarts=2)))
+    res = select_k(X, 1, 3, em=EmConfig(seed=3, restarts=2))
     buf = io.StringIO()
     write_score_csv(res, buf)
     lines = buf.getvalue().strip().splitlines()

@@ -109,8 +109,8 @@ def test_stability_far_separated_blobs_near_perfect():
     covs = [np.eye(3)] * 3
     X, _ = gaussian_blobs(means, covs, [300, 300, 300], seed=13)
     em = EmConfig(restarts=2, max_iter=200)
-    report = stability_run(X, fit_em(X, 3, replace(em, seed=13)), split=0.8, replications=20,
-                           seed=13, em_config=em)
+    em = replace(em, seed=13)
+    report = stability_run(X, fit_em(X, 3, em), split=0.8, replications=20, em_config=em)
     assert report.mean_80 >= 0.99
     assert report.mean_20 >= 0.99
     assert report.failures == ()
@@ -119,9 +119,8 @@ def test_stability_far_separated_blobs_near_perfect():
 
 def test_stability_deterministic_rerun():
     ds, _, _ = archetype_pitcher(120, seed=3)
-    kwargs = dict(split=0.8, replications=5, seed=11,
-                  em_config=EmConfig(restarts=2, max_iter=200))
-    reference = fit_em(ds, 4, replace(kwargs["em_config"], seed=11))
+    kwargs = dict(split=0.8, replications=5, em_config=EmConfig(seed=11, restarts=2, max_iter=200))
+    reference = fit_em(ds, 4, kwargs["em_config"])
     a = stability_run(ds, reference, **kwargs)
     b = stability_run(ds, reference, **kwargs)
     assert a == b
@@ -129,9 +128,8 @@ def test_stability_deterministic_rerun():
 
 def test_stability_mean_and_stderr_formulas():
     ds, _, _ = archetype_pitcher(120, seed=5)
-    em = EmConfig(restarts=2, max_iter=200)
-    report = stability_run(ds, fit_em(ds, 3, replace(em, seed=2)), split=0.8, replications=8,
-                           seed=2, em_config=em)
+    em = EmConfig(seed=2, restarts=2, max_iter=200)
+    report = stability_run(ds, fit_em(ds, 3, em), split=0.8, replications=8, em_config=em)
     a80 = np.array([a for a, _ in report.per_replication])
     a20 = np.array([b for _, b in report.per_replication])
     assert report.mean_80 == pytest.approx(a80.mean(), abs=1e-12)
@@ -145,9 +143,8 @@ def test_stability_records_failed_replications():
     rng = np.random.default_rng(0)
     base = np.array([90.0, 10.0, -5.0])
     X = np.vstack([np.tile(base, (32, 1)), base + rng.standard_normal((8, 3)) * 0.01])
-    em = EmConfig(restarts=2, max_iter=100)
-    report = stability_run(X, fit_em(X, 2, replace(em, seed=0)), split=0.8, replications=6,
-                           seed=0, em_config=em)
+    em = EmConfig(seed=0, restarts=2, max_iter=100)
+    report = stability_run(X, fit_em(X, 2, em), split=0.8, replications=6, em_config=em)
     assert len(report.failures) == 5
     assert len(report.per_replication) == 1
     assert len(report.per_replication) + len(report.failures) == report.replications
@@ -160,7 +157,8 @@ def test_stability_too_few_points():
     X = np.random.default_rng(1).standard_normal((30, 3)) * 5
     with pytest.raises(TooFewPoints):
         # minor side has 6 < 8
-        stability_run(X, fit_em(X, 2, EmConfig(seed=0)), split=0.8, replications=3, seed=0)
+        stability_run(X, fit_em(X, 2, EmConfig(seed=0)), split=0.8, replications=3,
+                      em_config=EmConfig(seed=0))
 
 
 def test_stability_validates_arguments():
@@ -174,9 +172,8 @@ def test_stability_validates_arguments():
 
 def test_stability_pitcher_id_from_dataset():
     ds, _, _ = archetype_pitcher(120, seed=6, pitcher_id="wakefield")
-    em = EmConfig(restarts=2, max_iter=100)
-    report = stability_run(ds, fit_em(ds, 2, replace(em, seed=1)), split=0.8, replications=2,
-                           seed=1, em_config=em)
+    em = EmConfig(seed=1, restarts=2, max_iter=100)
+    report = stability_run(ds, fit_em(ds, 2, em), split=0.8, replications=2, em_config=em)
     assert report.pitcher_id == "wakefield"
 
 
@@ -191,9 +188,8 @@ def test_stability_reference_must_cover_the_data():
 
 def test_stability_csv_rows():
     ds, _, _ = archetype_pitcher(120, seed=7)
-    em = EmConfig(restarts=2, max_iter=200)
-    report = stability_run(ds, fit_em(ds, 3, replace(em, seed=3)), split=0.8, replications=4,
-                           seed=3, em_config=em)
+    em = EmConfig(seed=3, restarts=2, max_iter=200)
+    report = stability_run(ds, fit_em(ds, 3, em), split=0.8, replications=4, em_config=em)
     buf = io.StringIO()
     write_stability_csv(report, buf)
     lines = buf.getvalue().strip().splitlines()
