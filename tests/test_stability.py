@@ -108,8 +108,7 @@ def test_stability_far_separated_blobs_near_perfect():
     means = [[0, 0, 0], [40, 0, 0], [0, 50, 25]]
     covs = [np.eye(3)] * 3
     X, _ = gaussian_blobs(means, covs, [300, 300, 300], seed=13)
-    em = EmConfig(restarts=2, max_iter=200)
-    em = replace(em, seed=13)
+    em = EmConfig(seed=13, restarts=2, max_iter=200)
     report = stability_run(X, fit_em(X, 3, em), split=0.8, replications=20, em_config=em)
     assert report.mean_80 >= 0.99
     assert report.mean_20 >= 0.99
