@@ -1,0 +1,120 @@
+"""CPU time of two pitchmbc source trees on the same commands, in one process.
+
+Both trees' packages are imported side by side under private names, and
+every round runs each ``--cmd`` through each tree's ``cli.main``,
+alternating which tree goes first. ``{out}`` in a command becomes a fresh
+output directory per tree and round, and after every round the two trees'
+output files must be byte-identical:
+
+    git archive HEAD~1 | tar -x -C ../parent
+    python scripts/ab_timing.py ../parent . --rounds 8 \\
+        --cmd "batch --input team.csv --reps 20 --outdir {out}"
+
+Each tree is a checkout holding ``src/pitchmbc``. One untimed warm-up round
+runs first. BLAS is pinned to one thread when this script is the first to
+import numpy, as it is when run as a program. It prints each round's CPU
+time (``time.process_time``) of both trees, then how many rounds B won,
+the median times and the median A/B ratio. It exits 1 when the trees'
+exit codes or output files differ in any round.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
+import io
+import shlex
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def load_cli(tree: Path, name: str):
+    """``pitchmbc.cli`` of ``tree``'s ``src/pitchmbc``, imported as package ``name``."""
+    init = tree / "src" / "pitchmbc" / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"{tree}: no src/pitchmbc package")
+    for stale in [mod for mod in sys.modules if mod == name or mod.startswith(name + ".")]:
+        del sys.modules[stale]
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def run(cli, commands: list[str], out: Path) -> tuple[float, list[int]]:
+    """CPU seconds and exit codes of ``commands`` run through ``cli.main``."""
+    argvs = [shlex.split(cmd.replace("{out}", str(out))) for cmd in commands]
+    gc.collect()
+    sink = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        codes = [cli.main(argv) for argv in argvs]
+    return time.process_time() - start, codes
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files that are not byte-identical under ``a`` and ``b``."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    return sorted(str(rel) for rel in files_a ^ files_b) + sorted(
+        str(rel) for rel in files_a & files_b
+        if (a / rel).read_bytes() != (b / rel).read_bytes())
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("tree_a", type=Path, help="checkout A (the baseline)")
+    parser.add_argument("tree_b", type=Path, help="checkout B (the change)")
+    parser.add_argument("--cmd", action="append", required=True,
+                        help="a pitchmbc command line; {out} is the output directory")
+    parser.add_argument("--rounds", type=int, default=8)
+    args = parser.parse_args()
+    if args.rounds < 1:
+        sys.exit("--rounds must be >= 1")
+
+    clis = {"A": load_cli(args.tree_a, "_ab_tree_a"), "B": load_cli(args.tree_b, "_ab_tree_b")}
+    times: dict[str, list[float]] = {"A": [], "B": []}
+    failed = False
+    for rnd in range(args.rounds + 1):
+        order = "AB" if rnd % 2 else "BA"
+        seconds, codes = {}, {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in order:
+                out = Path(tmp) / side
+                out.mkdir()
+                seconds[side], codes[side] = run(clis[side], args.cmd, out)
+            differ = differences(Path(tmp) / "A", Path(tmp) / "B")
+        name = f"round {rnd}" if rnd else "warm-up"
+        if codes["A"] != codes["B"] or differ:
+            failed = True
+            print(f"{name}: exit codes A {codes['A']} B {codes['B']}; "
+                  f"files that differ: {', '.join(differ) or 'none'}")
+        if rnd:
+            times["A"].append(seconds["A"])
+            times["B"].append(seconds["B"])
+            print(f"{name} ({order[0]} first): A {seconds['A']:.3f} s  B {seconds['B']:.3f} s  "
+                  f"A/B {seconds['A'] / seconds['B']:.3f}")
+    wins = sum(b < a for a, b in zip(times["A"], times["B"]))
+    ratios = [a / b for a, b in zip(times["A"], times["B"])]
+    print(f"B faster in {wins}/{args.rounds} rounds; median CPU A "
+          f"{statistics.median(times['A']):.3f} s, B {statistics.median(times['B']):.3f} s; "
+          f"median A/B {statistics.median(ratios):.3f}")
+    if failed:
+        sys.exit("outputs differ between the trees")
+    print("outputs byte-identical in every round")
+
+
+if __name__ == "__main__":
+    main()

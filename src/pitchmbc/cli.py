@@ -189,13 +189,14 @@ def _config_from(config_cls, name: str, flags: dict, cfg: dict):
     return config_cls(**values)
 
 
-def _settings(args) -> dict:
+def _settings(args, cfg: dict | None = None) -> dict:
     """The value of each ``--config`` section in ``_SECTIONS``, with each set
     flag on top of its section and each ``--columns`` entry on top of
     ``schema``. Every section is built, and so checked, whether the command
-    uses it or not.
+    uses it or not. ``cfg`` is the loaded ``--config`` file (read when None).
     """
-    cfg = _load_config_file(args)
+    if cfg is None:
+        cfg = _load_config_file(args)
     flags = {key: value for key, value in vars(args).items() if value is not None}
     columns = {}
     if args.columns:
@@ -227,6 +228,9 @@ def _load_dataset(args, schema, single_pitcher: bool):
 def _fit_pitcher(args, data, kmax: int, settings, archive_path, scores_path):
     """Select k, label the winner, write its archive and score table."""
     result = select_k(data, args.kmin, kmax, settings["selection"], settings["em"])
+    if not result.best.converged:
+        print(f"warning: pitcher {data.single_pitcher_id()}: the selected k={result.best.k} "
+              f"did not converge in {result.best.iterations} iterations", file=sys.stderr)
     labeled = label_clusters(result.best, settings["labels"], anchor_override=args.swap_anchor)
     config = {name: asdict(value) for name, value in settings.items()}
     save_archive(archive_from_results(data.single_pitcher_id(), labeled, result, config),
@@ -237,7 +241,13 @@ def _fit_pitcher(args, data, kmax: int, settings, archive_path, scores_path):
 
 def _classify_input(args):
     """The saved model, the filtered input, and (index, type, max posterior) per pitch."""
-    schema = _settings(args)["schema"]
+    cfg = _load_config_file(args)
+    schema = _settings(args, cfg)["schema"]
+    # the model archive fixes every setting but the input's schema
+    unused = [name for name in ("em", "selection", "labels") if cfg.get(name)]
+    if unused:
+        print(f"note: {args.command} ignores config section(s) {', '.join(unused)}: "
+              "the model archive's settings apply", file=sys.stderr)
     archive = load_archive(args.model)
     filtered = filter_pitches(_load_dataset(args, schema, single_pitcher=False))
     model = archive.labeled_model()

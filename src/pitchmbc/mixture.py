@@ -33,6 +33,17 @@ responsibility layout, so no step transposes it, and each restart's new
 state is a slice of its group's arrays. A group's steps write their E-step
 temporaries into one scratch buffer allocated when the group starts, so
 they do not allocate, free and fault in fresh memory on every step.
+
+The kernels keep off numpy's slow paths at small n without moving a bit of
+any output. The E-step sets every responsibility below 2^-1022, the smallest
+normal float64, to exactly 0, and likewise each log-sum-exp term, since
+numpy's exp and the M-step's matmul are many times slower on subnormal
+values. No sum changes: each term is added to exp(0) = 1, and a step with a
+component whose mass is below 10·eps·n fails. The Cholesky factors and their
+inverses come from numpy's LAPACK gufuncs, called without the ``np.linalg``
+wrappers, and ``_cholesky`` reads a failed factor from the NaN the gufunc
+writes. Seeding makes the draws ``Generator.choice`` would, without its
+checks of the probabilities.
 """
 
 from __future__ import annotations
@@ -42,10 +53,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import AllRestartsDegenerate, EmptyCluster, SingularCovariance, TooFewPoints
 
 LOG_2PI = math.log(2.0 * math.pi)
+# exp(x) is subnormal or zero exactly when x < LOG_TINY
+LOG_TINY = math.log(np.finfo(np.float64).tiny)
+EPS = np.finfo(np.float64).eps
+EYE3 = np.eye(3)
 # iterations every restart runs before only the best one continues
 SHORT_ITER = 20
 # largest k * n * restarts one stacked short-phase step may cover: wider
@@ -168,11 +184,21 @@ def _as_matrix(data) -> np.ndarray:
 def _cholesky(covs: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (..., 3, 3) stack. A matrix that does not
     factor raises SingularCovariance: ``_m_stack``'s ridge is the only
-    regularizer."""
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        raise SingularCovariance("covariance not positive definite") from None
+    regularizer. The LAPACK gufunc is called directly: it writes NaN over a
+    matrix that does not factor, where ``np.linalg.cholesky`` raises."""
+    with np.errstate(all="ignore"):
+        L = _umath_linalg.cholesky_lo(covs, signature="d->d")
+    if np.isnan(L[..., 0, 0]).any():
+        raise SingularCovariance("covariance not positive definite")
+    return L
+
+
+def _flush_tiny(logs: np.ndarray) -> np.ndarray:
+    """``logs`` with every entry below LOG_TINY set to -inf in place, so that
+    its exp is exactly 0, never subnormal: numpy's exp and matmul take slow
+    paths on subnormals."""
+    np.copyto(logs, -np.inf, where=np.less(logs, LOG_TINY))
+    return logs
 
 
 def _features(X: np.ndarray) -> np.ndarray:
@@ -201,21 +227,24 @@ def _e_stack(weights: np.ndarray, means: np.ndarray, covs: np.ndarray,
     # x - mean as one matmul [I, -mean] @ [x; 1]: its products by 1 and 0 are
     # exact, so each difference is rounded once, as a subtraction is
     sub = np.zeros(means.shape + (4,))
-    sub[..., :3], sub[..., 3] = np.eye(3), -means
+    sub[..., :3], sub[..., 3] = EYE3, -means
     diff = np.matmul(sub.reshape(-1, 4), X1, out=work[:size].reshape(-1, X1.shape[1]))
     # whitened z = L^-1 (x - mean): differencing before whitening keeps a
     # tight component far from the origin free of cancellation
-    z = np.matmul(np.linalg.inv(L), diff.reshape(shape), out=work[size:2 * size].reshape(shape))
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        inv_L = _umath_linalg.inv(L, signature="d->d")
+    z = np.matmul(inv_L, diff.reshape(shape), out=work[size:2 * size].reshape(shape))
     logp = np.square(z, out=z).sum(axis=-2)
     logp *= -0.5
     half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
     logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
-    # max-shifted log-sum-exp over components
+    # max-shifted log-sum-exp over components. A flushed term is below 2^-1022
+    # and the sum holds exp(0) = 1, so flushing changes no sum
     shift = logp.max(axis=-2)
     terms = np.subtract(logp, shift[..., None, :], out=work[:logp.size].reshape(logp.shape))
-    norm = shift + np.log(np.exp(terms, out=terms).sum(axis=-2))
+    norm = shift + np.log(np.exp(_flush_tiny(terms), out=terms).sum(axis=-2))
     logp -= norm[..., None, :]
-    return np.exp(logp, out=logp), norm.sum(axis=-1)
+    return np.exp(_flush_tiny(logp), out=logp), norm.sum(axis=-1)
 
 
 def _m_stack(F: np.ndarray, respT: np.ndarray,
@@ -227,7 +256,7 @@ def _m_stack(F: np.ndarray, respT: np.ndarray,
     n = F.shape[1]
     sums = respT @ F.T                                  # (..., k, 10)
     mass = sums[..., 9]
-    if np.any(mass < 10.0 * np.finfo(np.float64).eps * n):
+    if (mass < 10.0 * EPS * n).any():
         low = np.unravel_index(np.argmin(mass), mass.shape)
         raise EmptyCluster(f"component {low[-1]} has responsibility mass {mass[low]:.3e}")
     weights = mass / n
@@ -235,9 +264,9 @@ def _m_stack(F: np.ndarray, respT: np.ndarray,
     second = sums[..., [[0, 3, 4], [3, 1, 5], [4, 5, 2]]] / mass[..., None, None]
     covs = second - means[..., :, None] * means[..., None, :]
     trace = covs[..., 0, 0] + covs[..., 1, 1] + covs[..., 2, 2]
-    covs = covs + (ridge * (trace / 3.0))[..., None, None] * np.eye(3)
+    covs = covs + (ridge * (trace / 3.0))[..., None, None] * EYE3
     var = np.diagonal(covs, axis1=-2, axis2=-1)
-    if np.any(var <= 0) or not np.all(np.isfinite(covs)):
+    if (var <= 0).any() or not np.isfinite(covs).all():
         raise SingularCovariance("a component collapsed to zero or non-finite variance")
     return weights, means, covs
 
@@ -307,20 +336,32 @@ def m_step(data, responsibilities: np.ndarray,
     return list(_build_components(weights, means + center, covs))
 
 
-def _seed_centers(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted farthest-point seeding (squared-distance sampling)."""
-    n = Z.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
-    for _ in range(k - 1):
+def _sq_dist(ZT: np.ndarray, i: int) -> np.ndarray:
+    """Squared distances (n,) from column ``i`` of the (3, n) ``ZT`` to every
+    column, added in np.sum's order over a length-3 axis: (d0² + d1²) + d2²."""
+    return (ZT[0] - ZT[0, i]) ** 2 + (ZT[1] - ZT[1, i]) ** 2 + (ZT[2] - ZT[2, i]) ** 2
+
+
+def _seed_dist(ZT: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted farthest-point seeding (squared-distance sampling)
+    of k centers among the columns of the (3, n) ``ZT``; returns the (k, n)
+    squared distances from each center to every column. Each weighted draw
+    is the one ``rng.choice(n, p=d2 / d2.sum())`` makes, without that call's
+    checks of ``p``."""
+    n = ZT.shape[1]
+    dist = np.empty((k, n))
+    dist[0] = d2 = _sq_dist(ZT, int(rng.integers(n)))
+    for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))
-        chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((Z - Z[idx]) ** 2, axis=1))
-    return Z[chosen]
+        dist[j] = _sq_dist(ZT, idx)
+        d2 = np.minimum(d2, dist[j])
+    return dist
 
 
 def _standardize(X: np.ndarray) -> np.ndarray:
@@ -329,13 +370,13 @@ def _standardize(X: np.ndarray) -> np.ndarray:
     return (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
 
 
-def _seed_resp(Z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One-hot transposed (k, n) responsibilities: each row of the
-    standardized data ``Z`` goes to the nearest of k seeded centers."""
-    centers = _seed_centers(Z, k, rng)
-    d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    resp = np.zeros((Z.shape[0], k))
-    resp[np.arange(Z.shape[0]), np.argmin(d2, axis=1)] = 1.0
+def _seed_resp(ZT: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One-hot transposed (k, n) responsibilities: each column of the (3, n)
+    standardized data ``ZT`` goes to the nearest of k seeded centers."""
+    n = ZT.shape[1]
+    nearest = _seed_dist(ZT, k, rng).argmin(axis=0)
+    resp = np.zeros((n, k))
+    resp[np.arange(n), nearest] = 1.0
     # the transpose of an (n, k) array, not a C-ordered (k, n) one: the first
     # M-step's matmuls round differently with each memory layout
     return resp.T
@@ -435,11 +476,12 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
     shift = X.mean(axis=0)
     Xc = X - shift
     F = _features(Xc)
-    Z = _standardize(Xc)
+    # the seeding reads the standardized data column-wise
+    ZT = np.ascontiguousarray(_standardize(Xc).T)
     width = max(1, STACK_ELEMENTS // (k * n))
     runs: list[_Restart] = []
     for start in range(0, config.restarts, width):
-        group = [_Restart(r, _seed_resp(Z, k, np.random.default_rng([config.seed, r])))
+        group = [_Restart(r, _seed_resp(ZT, k, np.random.default_rng([config.seed, r])))
                  for r in range(start, min(start + width, config.restarts))]
         _iterate(F, group, config, min(SHORT_ITER, config.max_iter))
         runs += group

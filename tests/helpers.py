@@ -6,7 +6,11 @@ permutation search, contingency-table ARI, and a from-scratch rewrite of
 the labeling cascade, and a row-at-a-time pitch-file parser. Keep these
 independent of the package internals, except ``reference_restarts``, which
 reuses the seeding and the E/M kernels to replay the plain schedule that
-runs every restart to convergence. ``child_env`` sets up subprocess tests.
+runs every restart to convergence. ``reference_e_stack``,
+``reference_seed_centers`` and ``reference_seed_resp`` are the E-step and
+seeding as they were before they were tuned: through the ``np.linalg``
+wrappers, with subnormal responsibilities kept, and with
+``Generator.choice`` draws. ``child_env`` sets up subprocess tests.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import pitchmbc
 from pitchmbc.errors import (EmptyCluster, EmptyDataset, MalformedRow, MissingColumn,
                              SingularCovariance)
 from pitchmbc.ingest import OPTIONAL_FIELDS, REQUIRED_FIELDS, PitchRecord
-from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
-                              _e_stack, _features, _m_stack, _seed_resp, _standardize)
+from pitchmbc.mixture import (LOG_2PI, EmConfig, FittedMixture, MixtureComponent,
+                              _build_components, _e_stack, _features, _m_stack, _seed_resp,
+                              _standardize)
 
 
 def child_env(**extra: str) -> dict:
@@ -228,6 +233,53 @@ def assert_fits_identical(f1: FittedMixture, f2: FittedMixture) -> None:
         assert np.array_equal(f1.responsibilities, f2.responsibilities)
 
 
+def reference_e_stack(weights, means, covs, X1):
+    """``mixture._e_stack`` before subnormal flushing: transposed
+    responsibilities (..., k, n) and log-likelihoods (...) through
+    ``np.linalg.cholesky`` and ``np.linalg.inv``."""
+    L = np.linalg.cholesky(covs)
+    sub = np.zeros(means.shape + (4,))
+    sub[..., :3], sub[..., 3] = np.eye(3), -means
+    diff = np.matmul(sub.reshape(-1, 4), X1).reshape(means.shape + X1.shape[1:])
+    z = np.matmul(np.linalg.inv(L), diff)
+    logp = np.square(z).sum(axis=-2)
+    logp *= -0.5
+    half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
+    logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
+    shift = logp.max(axis=-2)
+    terms = logp - shift[..., None, :]
+    norm = shift + np.log(np.exp(terms).sum(axis=-2))
+    logp -= norm[..., None, :]
+    return np.exp(logp), norm.sum(axis=-1)
+
+
+def reference_seed_centers(Z, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Squared-distance seeding over the rows of the (n, 3) ``Z`` with
+    ``Generator.choice`` draws; returns the (k, 3) centers."""
+    n = Z.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((Z - Z[chosen[0]]) ** 2, axis=1)
+    for _ in range(k - 1):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((Z - Z[idx]) ** 2, axis=1))
+    return Z[chosen]
+
+
+def reference_seed_resp(Z, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One-hot transposed (k, n) responsibilities from
+    ``reference_seed_centers``: each row of ``Z`` to its nearest center."""
+    centers = reference_seed_centers(Z, k, rng)
+    d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    resp = np.zeros((Z.shape[0], k))
+    resp[np.arange(Z.shape[0]), np.argmin(d2, axis=1)] = 1.0
+    return resp.T
+
+
 def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None]:
     """Every restart run to convergence or max_iter on its own, in restart
     order; None for a restart that hit an empty cluster or a singular
@@ -237,12 +289,12 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
     shift = X.mean(axis=0)
     Xc = X - shift
     F = _features(Xc)
-    Z = _standardize(Xc)
+    ZT = np.ascontiguousarray(_standardize(Xc).T)
     out: list[FittedMixture | None] = []
     for restart in range(max(1, config.restarts)):
         rng = np.random.default_rng([config.seed, restart])
         try:
-            params = _m_stack(F, _seed_resp(Z, k, rng), config.ridge)
+            params = _m_stack(F, _seed_resp(ZT, k, rng), config.ridge)
             trace, prev, converged, iterations = [], None, False, 0
             for _ in range(config.max_iter):
                 respT, ll = _e_stack(*params, F[6:])

@@ -219,6 +219,44 @@ def test_plot_filters_intentional_balls(fitted_model, tmp_path):
     assert len(lines) == 10 + 1
 
 
+@pytest.mark.parametrize("command", ["classify", "plot"])
+def test_classify_and_plot_name_the_config_sections_they_ignore(pitcher_csv, fitted_model,
+                                                                tmp_path, capsys, command):
+    def run(doc, name):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / (name + ".csv" if command == "classify" else name)
+        assert main([command, "--input", str(pitcher_csv), "--model", str(fitted_model),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        written = [out] if command == "classify" else sorted(out.iterdir())
+        return [p.read_bytes() for p in written], capsys.readouterr().err
+
+    plain, err = run({"schema": {"delimiter": ","}, "em": {}}, "plain")
+    assert "ignores" not in err
+    doc = {"labels": {"changeup_speed_gap": 30.0, "sidespin_band": 1.0}, "em": {"restarts": 3},
+           "schema": {"delimiter": ","}}
+    ignored, err = run(doc, "ignored")
+    assert ignored == plain
+    assert err.splitlines() == [f"note: {command} ignores config section(s) em, labels: "
+                                "the model archive's settings apply"]
+
+
+@pytest.mark.parametrize("command", ["fit", "batch"])
+def test_unconverged_selected_k_is_reported_on_stderr(pitcher_csv, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {"fit": ["--out", str(out) + ".json"], "batch": ["--outdir", str(out), "--reps", "0"]}
+    assert main([command, "--input", str(pitcher_csv), "--kmin", "3", "--kmax", "3",
+                 "--restarts", "1", "--max-iter", "2"] + argv[command]) == 0
+    err = capsys.readouterr().err
+    assert "warning: pitcher synth5: the selected k=3 did not converge in 2 iterations" \
+        in err.splitlines()
+    written = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert written and not any(b"warning" in p.read_bytes() for p in written)
+    assert main([command, "--input", str(pitcher_csv), "--kmin", "1", "--kmax", "1",
+                 "--restarts", "1"] + argv[command]) == 0
+    assert "did not converge" not in capsys.readouterr().err
+
+
 def test_swap_anchor_flag(pitcher_csv, tmp_path):
     out = tmp_path / "swapped.json"
     assert main(["fit", "--input", str(pitcher_csv), "--kmin", "5", "--kmax", "5",

@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_fits_identical, child_env, dense_mvn_logpdf, make_component,
-                     random_spd_component, reference_fit_em, reference_restarts)
+                     random_spd_component, reference_e_stack, reference_fit_em,
+                     reference_restarts, reference_seed_centers, reference_seed_resp)
 from pitchmbc import mixture
 from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovariance,
                              TooFewPoints)
@@ -528,6 +530,96 @@ def test_short_em_keeps_full_em_optimum_and_selection(seed):
             ref[k - 1].log_likelihood, rel=1e-9, abs=0)
     ref_idx, _ = choose_best(ref, n, "bicadj", math.log(n))
     assert result.best.k == ref[ref_idx].k
+
+
+# ---------------------------------- fast paths against the plain kernels
+
+TINY = np.finfo(np.float64).tiny
+
+
+def _separated_stack(seed, g, k):
+    """Packed (g, k) parameters of components about 25-45 stddevs apart,
+    each restart's means jittered, and the (10, n) features of 3-10 points
+    drawn around each component: many log responsibilities land in exp's
+    subnormal band (LOG_TINY - 37, LOG_TINY), many below it."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(k, 3))
+    steps *= rng.uniform(25, 45, (k, 1)) / np.linalg.norm(steps, axis=1, keepdims=True)
+    centers = np.cumsum(steps, axis=0)
+    A = rng.normal(scale=0.3, size=(k, 3, 3))
+    covs = (np.eye(3) + A @ A.transpose(0, 2, 1)) * rng.uniform(0.5, 1.5, (k, 1, 1))
+    X = np.vstack([rng.multivariate_normal(c, cov, size=rng.integers(3, 11))
+                   for c, cov in zip(centers, covs)])
+    weights = rng.dirichlet(np.ones(k), size=g)
+    means = centers + rng.normal(scale=0.5, size=(g, k, 3))
+    return weights, means, np.broadcast_to(covs, (g, k, 3, 3)).copy(), mixture._features(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), g=st.integers(1, 4), k=st.integers(2, 6))
+def test_e_stack_flushes_only_subnormal_responsibilities(seed, g, k):
+    weights, means, covs, F = _separated_stack(seed, g, k)
+    respT, ll = mixture._e_stack(weights, means, covs, F[6:])
+    want_respT, want_ll = reference_e_stack(weights, means, covs, F[6:])
+    np.testing.assert_array_equal(ll, want_ll)
+    flushed = np.where(want_respT < TINY, 0.0, want_respT)
+    np.testing.assert_array_equal(respT, flushed)
+    # a flushed responsibility changes no sum the M-step forms from it
+    for got, want in zip(mixture._m_stack(F, respT, 1e-6), mixture._m_stack(F, want_respT, 1e-6)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_separated_stacks_reach_the_subnormal_band():
+    hits = []
+    for seed in range(20):
+        weights, means, covs, F = _separated_stack(seed, 2, 4)
+        respT, _ = reference_e_stack(weights, means, covs, F[6:])
+        hits.append(((respT > 0) & (respT < TINY)).any() and (respT == 0).any())
+    assert sum(hits) >= 10
+
+
+def _seeding_data(name):
+    """Standardized (n, 3) data as ``fit_em`` seeds from it."""
+    if name == "ten_distinct":
+        X = np.repeat(np.random.default_rng(0).normal(size=(10, 3)), 3, axis=0)
+    elif name == "one_point":
+        X = np.ones((30, 3))
+    else:
+        X = archetype_pitcher(name, seed=name)[0].to_matrix()
+    return mixture._standardize(X - X.mean(axis=0))
+
+
+@pytest.mark.parametrize("name", [30, 120, 960, 1500, "ten_distinct", "one_point"])
+def test_seeding_makes_the_draws_of_generator_choice(name):
+    # if a later numpy changes Generator.choice, this test shows it
+    Z = _seeding_data(name)
+    ZT = np.ascontiguousarray(Z.T)
+    # the squared distances themselves are np.sum's, bit for bit
+    for i in range(0, len(Z), 7):
+        np.testing.assert_array_equal(mixture._sq_dist(ZT, i), np.sum((Z - Z[i]) ** 2, axis=1))
+    for k in range(1, 10):
+        for seed in range(50):
+            got_rng, want_rng = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+            got, want = mixture._seed_resp(ZT, k, got_rng), reference_seed_resp(Z, k, want_rng)
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides
+            centers = reference_seed_centers(Z, k, want_rng)
+            np.testing.assert_array_equal(mixture._seed_dist(ZT, k, got_rng),
+                                          np.sum((Z[:, None] - centers[None]) ** 2, axis=2).T)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_cholesky_reports_a_failed_factor_without_a_warning():
+    good = random_spd_component(1).covariance()
+    indefinite = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    stack = np.stack([[good, good], [good, indefinite]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularCovariance) as failed:
+            mixture._cholesky(stack)
+        assert str(failed.value) == "covariance not positive definite"
+        np.testing.assert_array_equal(mixture._cholesky(stack[:, :1]),
+                                      np.linalg.cholesky(stack[:, :1]))
 
 
 # ---------------------------------------------------------- posterior_assign

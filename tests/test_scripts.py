@@ -1,14 +1,18 @@
 """Each experiment script runs end to end, in-process, on tiny arguments."""
 
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
 from pitchmbc.cli import main
+from pitchmbc.ingest import write_pitch_csv
+from pitchmbc.synth import archetype_pitcher
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(monkeypatch, name, *args):
@@ -18,7 +22,7 @@ def run_script(monkeypatch, name, *args):
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == [
-        "make_synthetic_data.py", "penalty_sweep.py", "stability_histograms.py"]
+        "ab_timing.py", "make_synthetic_data.py", "penalty_sweep.py", "stability_histograms.py"]
 
 
 def test_make_synthetic_data_then_histograms_over_batch(monkeypatch, tmp_path, capsys):
@@ -53,3 +57,35 @@ def test_penalty_sweep(monkeypatch, capsys, dataset):
                "--kmax", "3")
     out = capsys.readouterr().out
     assert "selected k" in out and "(= ln n)" in out
+
+
+def _ab_timing(monkeypatch, tree_b, data, rounds):
+    run_script(monkeypatch, "ab_timing.py", str(ROOT), str(tree_b), "--rounds", str(rounds),
+               "--cmd", f"fit --input {data} --kmax 2 --restarts 1 --out {{out}}/m.json",
+               "--cmd", f"stability --input {data} --k 2 --reps 2 --restarts 1 "
+                        "--out {out}/s.csv")
+
+
+def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "p.csv"
+    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
+    _ab_timing(monkeypatch, ROOT, data, 2)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["round 1 (A first)", "round 2 (B first)"]
+    assert lines[2].startswith("B faster in ") and "/2 rounds; median CPU A " in lines[2]
+    assert lines[3:] == ["outputs byte-identical in every round"]
+
+
+def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "p.csv"
+    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src" / "pitchmbc", tree / "src" / "pitchmbc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    selection = tree / "src" / "pitchmbc" / "selection.py"
+    selection.write_text(selection.read_text().replace('"bic_adj", "converged"',
+                                                       '"bic_adj", "converged?"'))
+    with pytest.raises(SystemExit, match="outputs differ between the trees"):
+        _ab_timing(monkeypatch, tree, data, 1)
+    out = capsys.readouterr().out
+    assert "warm-up: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv" in out
