@@ -27,9 +27,8 @@ import pitchmbc
 from pitchmbc.errors import (EmptyCluster, EmptyDataset, MalformedRow, MissingColumn,
                              SingularCovariance)
 from pitchmbc.ingest import OPTIONAL_FIELDS, REQUIRED_FIELDS, PitchRecord
-from pitchmbc.mixture import (LOG_2PI, EmConfig, FittedMixture, MixtureComponent,
-                              _build_components, _e_stack, _features, _m_stack, _seed_resp,
-                              _standardize)
+from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
+                              _e_stack, _features, _m_stack, _seed_resp, _standardize)
 
 
 def child_env(**extra: str) -> dict:
@@ -245,7 +244,7 @@ def reference_e_stack(weights, means, covs, X1):
     logp = np.square(z).sum(axis=-2)
     logp *= -0.5
     half_logdet = np.log(L[..., 0, 0]) + np.log(L[..., 1, 1]) + np.log(L[..., 2, 2])
-    logp += (np.log(weights) - half_logdet - 1.5 * LOG_2PI)[..., None]
+    logp += (np.log(weights) - half_logdet - 1.5 * math.log(2.0 * math.pi))[..., None]
     shift = logp.max(axis=-2)
     terms = logp - shift[..., None, :]
     norm = shift + np.log(np.exp(terms).sum(axis=-2))
