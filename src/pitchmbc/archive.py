@@ -6,6 +6,8 @@ fields: the top-level keys are those of :class:`ModelArchive`, ``fit`` holds
 those of :class:`FittedMixture` minus ``responsibilities`` (recomputable from
 the components and the data), each component those of
 :class:`MixtureComponent` and each score row those of :class:`CriterionScore`.
+The fit's ``k``, ``log_likelihood``, ``iterations`` and ``ll_decrease_max`` and
+each score row's ``bic_adj`` are derived copies, which ``load_archive`` checks.
 Floats go through Python's shortest round-trip repr, which json preserves
 exactly, making load(save(m)) lossless.
 """
@@ -13,7 +15,7 @@ exactly, making load(save(m)) lossless.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ArchiveError, ArchiveVersionMismatch
@@ -80,25 +82,24 @@ def save_archive(archive: ModelArchive, path) -> None:
     Path(path).write_text(archive_to_json(archive), encoding="utf-8")
 
 
+def _record_from_dict(cls, doc: dict, **given):
+    """A ``cls`` built from ``given`` and ``doc``'s other init fields; ValueError unless
+    ``doc`` holds just the fields of ``cls`` and the value of each derived one."""
+    if set(doc) | set(given) != {f.name for f in fields(cls)}:
+        raise ValueError(f"{cls.__name__} keys {sorted(doc)} are not its fields")
+    record = cls(**{f.name: doc[f.name] for f in fields(cls) if f.init and f.name not in given},
+                 **given)
+    for f in fields(cls):
+        if not f.init and doc[f.name] != getattr(record, f.name):
+            raise ValueError(f"{cls.__name__}.{f.name} is {doc[f.name]!r}, but the other "
+                             f"fields give {getattr(record, f.name)!r}")
+    return record
+
+
 def _fit_from_dict(doc: dict) -> FittedMixture:
-    components = tuple(
-        MixtureComponent(
-            mean=c["mean"], stddev=c["stddev"],
-            correlation=c["correlation"], weight=c["weight"],
-        )
-        for c in doc["components"]
-    )
-    return FittedMixture(
-        components=components,
-        k=int(doc["k"]),
-        log_likelihood=float(doc["log_likelihood"]),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
-        responsibilities=None,
-        seed=int(doc["seed"]),
-        ll_trace=tuple(float(v) for v in doc["ll_trace"]),
-        ll_decrease_max=float(doc["ll_decrease_max"]),
-    )
+    return _record_from_dict(FittedMixture, doc, responsibilities=None, seed=int(doc["seed"]),
+                             components=tuple(MixtureComponent(**c) for c in doc["components"]),
+                             ll_trace=tuple(float(v) for v in doc["ll_trace"]))
 
 
 def load_archive(path) -> ModelArchive:
@@ -119,20 +120,18 @@ def load_archive(path) -> ModelArchive:
             labels=tuple(PitchType(v) for v in doc["labels"]),
             anchor_index=int(doc["anchor_index"]),
             rule_trace=tuple(tuple(t) for t in doc["rule_trace"]),
-            score_table=tuple(CriterionScore(**s) for s in doc["score_table"]),
+            score_table=tuple(_record_from_dict(CriterionScore, s) for s in doc["score_table"]),
             selection_failures=tuple((int(k), reason) for k, reason in doc["selection_failures"]),
             criterion=doc["criterion"],
             penalty_scale=float(doc["penalty_scale"]),
             config=doc.get("config", {}),
-            format_version=int(version),
         )
         # what classify and plot index by, checked here so a bad archive
         # is an ArchiveError rather than a crash further on
         _label_config(archive.config)
         k = archive.fit.k
-        if not len(archive.labels) == len(archive.fit.components) == k:
-            raise ValueError(f"{len(archive.labels)} labels and {len(archive.fit.components)} "
-                             f"components for k={k}")
+        if len(archive.labels) != k:
+            raise ValueError(f"{len(archive.labels)} labels for k={k}")
         if not 0 <= archive.anchor_index < k:
             raise ValueError(f"anchor_index {archive.anchor_index} outside [0, {k})")
     except (KeyError, TypeError, ValueError) as exc:

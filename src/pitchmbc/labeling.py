@@ -68,10 +68,6 @@ class LabeledModel:
     rule_trace: tuple[tuple[str, ...], ...]
     config: LabelConfig = field(default_factory=LabelConfig)
 
-    @property
-    def k(self) -> int:
-        return self.fit.k
-
 
 def _pick_anchor(components: Sequence[MixtureComponent]) -> int:
     """Highest mean start speed; ties go to larger weight, then lower index."""

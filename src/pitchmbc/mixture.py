@@ -88,7 +88,7 @@ class EmConfig:
     ridge: float = 1e-6
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iter", 1), ("tol", 0), ("ridge", 0)):
+        for name, low in (("seed", 0), ("restarts", 1), ("max_iter", 1), ("tol", 0), ("ridge", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
@@ -138,20 +138,30 @@ class FittedMixture:
 
     ``responsibilities`` is the n-by-k posterior membership matrix for the
     training data (None when the fit was loaded from an archive).
-    ``ll_trace`` holds the log-likelihood observed at every E-step and
-    ``ll_decrease_max`` the largest decrease between consecutive entries
-    (0.0 for a perfectly monotone fit), checked on every fit.
+    ``ll_trace`` holds the log-likelihood at every E-step, at least one. Derived,
+    not passed: ``k``, ``log_likelihood`` (the last entry), ``iterations`` and
+    ``ll_decrease_max`` (the largest drop between entries, 0.0 when monotone).
     """
 
     components: tuple[MixtureComponent, ...]
-    k: int
-    log_likelihood: float
-    iterations: int
     converged: bool
     responsibilities: np.ndarray | None
     seed: int
-    ll_trace: tuple[float, ...] = ()
-    ll_decrease_max: float = 0.0
+    ll_trace: tuple[float, ...]
+    k: int = field(init=False)
+    log_likelihood: float = field(init=False)
+    iterations: int = field(init=False)
+    ll_decrease_max: float = field(init=False)
+
+    def __post_init__(self):
+        trace = self.ll_trace
+        if not trace:
+            raise ValueError("ll_trace must hold at least one log-likelihood")
+        object.__setattr__(self, "k", len(self.components))
+        object.__setattr__(self, "log_likelihood", trace[-1])
+        object.__setattr__(self, "iterations", len(trace) - 1)
+        object.__setattr__(self, "ll_decrease_max",
+                           max([0.0] + [a - b for a, b in zip(trace, trace[1:])]))
 
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
@@ -493,17 +503,12 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
         if run.failure is not None:
             continue
         weights, means, covs = run.params
-        trace = run.trace
         return FittedMixture(
             components=_build_components(weights, means + shift, covs),
-            k=k,
-            log_likelihood=trace[-1],
-            iterations=len(trace) - 1,
             converged=run.converged,
             responsibilities=run.respT.T,
             seed=config.seed,
-            ll_trace=tuple(trace),
-            ll_decrease_max=max([0.0] + [a - b for a, b in zip(trace, trace[1:])]),
+            ll_trace=tuple(run.trace),
         )
     raise AllRestartsDegenerate(
         f"all {config.restarts} restarts degenerate: "

@@ -10,7 +10,7 @@ strongly-correlated clusters. Lower is better for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import FitError, NoViableK, TooFewPoints
@@ -26,15 +26,18 @@ TIE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class CriterionScore:
-    """Score row for one fitted k."""
+    """Score row for one fitted k; ``bic_adj`` = bic + correlation_penalty, derived."""
 
     k: int
     log_likelihood: float
     bic: float
     correlation_penalty: float
-    bic_adj: float
+    bic_adj: float = field(init=False)
     penalty_scale: float
     converged: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "bic_adj", self.bic + self.correlation_penalty)
 
     def value(self, criterion: str) -> float:
         if criterion == "bic":
@@ -81,14 +84,11 @@ def bic_adj(fit: FittedMixture, n: int, penalty_scale: float) -> CriterionScore:
     """BIC plus penalty_scale * sum of |rho| over all off-diagonal pairs."""
     if penalty_scale < 0:
         raise ValueError("penalty_scale must be >= 0")
-    base = bic(fit, n)
-    penalty = penalty_scale * fit.total_abs_correlation()
     return CriterionScore(
         k=fit.k,
         log_likelihood=fit.log_likelihood,
-        bic=base,
-        correlation_penalty=penalty,
-        bic_adj=base + penalty,
+        bic=bic(fit, n),
+        correlation_penalty=penalty_scale * fit.total_abs_correlation(),
         penalty_scale=penalty_scale,
         converged=fit.converged,
     )

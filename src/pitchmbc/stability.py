@@ -12,7 +12,7 @@ comparison without the alignment step would be meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -113,23 +113,30 @@ class StabilityReport:
 
     ``per_replication`` lists (agreement_80, agreement_20) for successful
     replications in replication order; failed replications appear in
-    ``failures`` as (replication_index, reason), and
-    len(per_replication) + len(failures) == replications. Standard errors
-    are sample-stddev / sqrt(#successful), 0.0 when fewer than two
-    replications succeeded.
+    ``failures`` as (replication_index, reason). Derived, not passed:
+    replications = len(per_replication) + len(failures), the means (nan when
+    none succeeded) and the standard errors, sample-stddev / sqrt(#successful),
+    0.0 when fewer than two replications succeeded.
     """
 
     pitcher_id: str
     k: int
     split: float
-    replications: int
     seed: int
     per_replication: tuple[tuple[float, float], ...]
     failures: tuple[tuple[int, str], ...]
-    mean_80: float
-    mean_20: float
-    stderr_80: float
-    stderr_20: float
+    replications: int = field(init=False)
+    mean_80: float = field(init=False)
+    mean_20: float = field(init=False)
+    stderr_80: float = field(init=False)
+    stderr_20: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "replications", len(self.per_replication) + len(self.failures))
+        for column, part in enumerate(("80", "20")):
+            mean, stderr = _mean_stderr([pair[column] for pair in self.per_replication])
+            object.__setattr__(self, f"mean_{part}", mean)
+            object.__setattr__(self, f"stderr_{part}", stderr)
 
     def successful_indices(self) -> tuple[int, ...]:
         failed = {idx for idx, _ in self.failures}
@@ -216,20 +223,13 @@ def stability_run(data, reference: FittedMixture, split: float = 0.8, replicatio
         _, agree_minor = aligned_agreement(assign[idx_minor], fit_minor.assignments(), k)
         results.append((agree_major, agree_minor))
 
-    mean_80, stderr_80 = _mean_stderr([a for a, _ in results])
-    mean_20, stderr_20 = _mean_stderr([b for _, b in results])
     return StabilityReport(
         pitcher_id=pitcher_id,
         k=k,
         split=split,
-        replications=replications,
         seed=seed,
         per_replication=tuple(results),
         failures=tuple(failures),
-        mean_80=mean_80,
-        mean_20=mean_20,
-        stderr_80=stderr_80,
-        stderr_20=stderr_20,
     )
 
 

@@ -190,11 +190,9 @@ def make_component(mean, stddev=(1.0, 1.0, 1.0), correlation=None, weight=1.0) -
 
 def make_fit(components, log_likelihood=0.0, seed=0, responsibilities=None) -> FittedMixture:
     """Hand-assembled FittedMixture for scoring/labeling tests."""
-    components = tuple(components)
     return FittedMixture(
-        components=components, k=len(components),
-        log_likelihood=log_likelihood, iterations=0, converged=True,
-        responsibilities=responsibilities, seed=seed,
+        components=tuple(components), converged=True,
+        responsibilities=responsibilities, seed=seed, ll_trace=(log_likelihood,),
     )
 
 
@@ -294,7 +292,7 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
         rng = np.random.default_rng([config.seed, restart])
         try:
             params = _m_stack(F, _seed_resp(ZT, k, rng), config.ridge)
-            trace, prev, converged, iterations = [], None, False, 0
+            trace, prev, converged = [], None, False
             for _ in range(config.max_iter):
                 respT, ll = _e_stack(*params, F[6:])
                 ll = float(ll)
@@ -304,7 +302,6 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
                     break
                 prev = ll
                 params = _m_stack(F, respT, config.ridge)
-                iterations += 1
             else:
                 respT, ll = _e_stack(*params, F[6:])
                 ll = float(ll)
@@ -314,10 +311,8 @@ def reference_restarts(X, k: int, config: EmConfig) -> list[FittedMixture | None
             continue
         weights, means, covs = params
         out.append(FittedMixture(
-            components=_build_components(weights, means + shift, covs), k=k,
-            log_likelihood=ll, iterations=iterations, converged=converged,
-            responsibilities=respT.T, seed=config.seed, ll_trace=tuple(trace),
-            ll_decrease_max=max([0.0] + [a - b for a, b in zip(trace, trace[1:])])))
+            components=_build_components(weights, means + shift, covs), converged=converged,
+            responsibilities=respT.T, seed=config.seed, ll_trace=tuple(trace)))
     return out
 
 

@@ -63,7 +63,8 @@ def test_awkward_floats_survive(tmp_path):
     doc = json.loads(archive_to_json(archive))
     awkward = [0.1, 1.0 / 3.0, 1e-300, 123456789.987654321, -7.000000000000001]
     doc["fit"]["components"][0]["mean"] = awkward[:3]
-    doc["fit"]["log_likelihood"] = awkward[3]
+    # log_likelihood is derived from the trace, so both carry the float
+    doc["fit"]["ll_trace"][-1] = doc["fit"]["log_likelihood"] = awkward[3]
     path = tmp_path / "doctored.json"
     path.write_text(json.dumps(doc))
     loaded = load_archive(path)
@@ -72,6 +73,7 @@ def test_awkward_floats_survive(tmp_path):
     save_archive(loaded, path)
     again = load_archive(path)
     assert again.fit.components[0].mean.tolist() == awkward[:3]
+    assert again.fit.log_likelihood == again.fit.ll_trace[-1] == awkward[3]
 
 
 def test_version_mismatch(tmp_path):

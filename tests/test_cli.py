@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from helpers import child_env
 from pitchmbc.archive import load_archive
+from pitchmbc.errors import ArchiveError
 from pitchmbc.cli import build_parser, main
 from pitchmbc.ingest import (ColumnSchema, PitchDataset, PitchRecord, parse_pitch_csv,
                              write_pitch_csv)
@@ -165,8 +167,11 @@ def test_classify_non_object_archive_is_archive_error(tmp_path, pitcher_csv, cap
     lambda doc: doc.update(labels=doc["labels"][:1]),
     lambda doc: doc["fit"].update(k=doc["fit"]["k"] + 3),
     lambda doc: doc.update(anchor_index=99),
+    lambda doc: doc["fit"].update(bogus=1),
+    lambda doc: doc["score_table"][0].pop("bic_adj"),
 ], ids=["config-list", "labels-list", "labels-unknown-key", "labels-string-threshold",
-        "labels-negative-threshold", "one-label", "k-past-components", "anchor-past-k"])
+        "labels-negative-threshold", "one-label", "k-past-components", "anchor-past-k",
+        "fit-unknown-key", "score-without-bic-adj"])
 def test_classify_inconsistent_archive_is_archive_error(tmp_path, fitted_model, pitcher_csv,
                                                         capsys, doctor):
     doc = json.loads(fitted_model.read_text())
@@ -177,6 +182,27 @@ def test_classify_inconsistent_archive_is_archive_error(tmp_path, fitted_model, 
                  "--out", str(tmp_path / "x.csv")])
     assert code == 6
     assert "malformed archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record,key", [("fit", "k"), ("fit", "log_likelihood"),
+                                        ("fit", "iterations"), ("fit", "ll_decrease_max"),
+                                        ("score_table", "bic_adj")])
+def test_archive_whose_derived_copy_disagrees_is_archive_error(tmp_path, fitted_model,
+                                                              pitcher_csv, capsys, record, key):
+    doc = json.loads(fitted_model.read_text())
+    # the last score row, so not only the first row is checked
+    row = doc["fit"] if record == "fit" else doc["score_table"][-1]
+    value = row[key]
+    row[key] = value + 1 if isinstance(value, int) else math.nextafter(value, math.inf)
+    model = tmp_path / "doctored.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match=f"{key} is"):
+        load_archive(model)
+    code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 6
+    assert f"{key} is {row[key]!r}, but the other fields give {value!r}" in \
+        capsys.readouterr().err
 
 
 def test_stability_command(pitcher_csv, tmp_path, capsys):
@@ -432,8 +458,8 @@ def _flag_or_config(tmp_path, source, section, key, value):
     return ["--config", str(cfg)]
 
 
-BAD_EM_VALUES = [("restarts", 0), ("restarts", -2), ("max_iter", 0), ("tol", -1.0),
-                 ("tol", float("nan")), ("ridge", -1.0)]
+BAD_EM_VALUES = [("seed", -1), ("restarts", 0), ("restarts", -2), ("max_iter", 0),
+                 ("tol", -1.0), ("tol", float("nan")), ("ridge", -1.0)]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

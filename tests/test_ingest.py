@@ -176,12 +176,11 @@ def _csv_writers():
     ))
     types = [PitchType.FOUR_SEAM, PitchType.CURVEBALL]
     score = CriterionScore(k=1, log_likelihood=-1.5, bic=3.5, correlation_penalty=0.25,
-                           bic_adj=3.75, penalty_scale=0.7, converged=True)
+                           penalty_scale=0.7, converged=True)
     result = SelectionResult(best=None, scores=(score,),
                              failures=((2, "degenerate, twice"),), criterion="bicadj",
                              penalty_scale=0.7)
-    report = StabilityReport("josé", 2, 0.8, 2, 0, ((1.0, 0.5),), ((1, "empty"),),
-                             1.0, 0.5, 0.0, 0.0)
+    report = StabilityReport("josé", 2, 0.8, 0, ((1.0, 0.5),), ((1, "empty"),))
     return {
         "pitch": lambda d: write_pitch_csv(ds, d, ColumnSchema(delimiter=";")),
         "labeled": lambda d: write_labeled_csv(d, [0, 1], types, [0.9, 0.6], ["FF", None]),

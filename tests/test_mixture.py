@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import platform
 import subprocess
@@ -314,6 +315,27 @@ def test_ll_decrease_max_is_largest_drop_in_trace():
     assert fit.ll_decrease_max == max(drops) > 0
 
 
+def test_fitted_mixture_derives_its_summaries_from_components_and_trace():
+    comps = (make_component([0, 0, 0], weight=0.5), make_component([5, 0, 0], weight=0.5))
+    fit = FittedMixture(components=comps, converged=False, responsibilities=None, seed=3,
+                        ll_trace=(-10.0, -6.0, -6.5, -4.0, -4.25))
+    assert (fit.k, fit.log_likelihood, fit.iterations, fit.ll_decrease_max) == (2, -4.25, 4, 0.5)
+    monotone = dataclasses.replace(fit, components=comps[:1], ll_trace=(-3.0, -2.0))
+    assert (monotone.k, monotone.log_likelihood, monotone.iterations,
+            monotone.ll_decrease_max) == (1, -2.0, 1, 0.0)
+    assert {f.name for f in dataclasses.fields(FittedMixture) if not f.init} == {
+        "k", "log_likelihood", "iterations", "ll_decrease_max"}
+    with pytest.raises(TypeError):
+        FittedMixture(components=comps, converged=True, responsibilities=None, seed=0,
+                      ll_trace=(0.0,), k=2)
+
+
+def test_fitted_mixture_needs_a_trace():
+    with pytest.raises(ValueError, match="ll_trace"):
+        FittedMixture(components=(make_component([0, 0, 0]),), converged=True,
+                      responsibilities=None, seed=0, ll_trace=())
+
+
 def _fail_after_short_phase(monkeypatch, fail_calls):
     """Make _m_stack raise EmptyCluster on the given calls of the long phase
     (call 1 is the winner's first long-phase M-step). The long phase is the
@@ -628,8 +650,8 @@ def test_posterior_assign_dominant_component():
     # anchor 10+ stddevs from the rival; verify with the dense formula
     a = make_component([0, 0, 0], stddev=(1, 1, 1), weight=0.5)
     b = make_component([20, 0, 0], stddev=(1, 1, 1), weight=0.5)
-    fit = FittedMixture(components=(a, b), k=2, log_likelihood=0.0, iterations=0,
-                        converged=True, responsibilities=None, seed=0)
+    fit = FittedMixture(components=(a, b), converged=True, responsibilities=None, seed=0,
+                        ll_trace=(0.0,))
     idx, post = posterior_assign(fit, [0, 0, 0])
     assert idx == 0
     assert post[0] > 0.99
@@ -639,9 +661,8 @@ def test_posterior_assign_dominant_component():
 
 
 def test_posterior_assign_k1():
-    fit = FittedMixture(components=(make_component([1, 2, 3]),), k=1,
-                        log_likelihood=0.0, iterations=0, converged=True,
-                        responsibilities=None, seed=0)
+    fit = FittedMixture(components=(make_component([1, 2, 3]),), converged=True,
+                        responsibilities=None, seed=0, ll_trace=(0.0,))
     idx, post = posterior_assign(fit, [9, 9, 9])
     assert idx == 0
     assert post.tolist() == [1.0]
@@ -650,8 +671,8 @@ def test_posterior_assign_k1():
 def test_posterior_assign_tie_breaks_to_lower_index():
     a = make_component([-3, 0, 0], weight=0.5)
     b = make_component([3, 0, 0], weight=0.5)
-    fit = FittedMixture(components=(a, b), k=2, log_likelihood=0.0, iterations=0,
-                        converged=True, responsibilities=None, seed=0)
+    fit = FittedMixture(components=(a, b), converged=True, responsibilities=None, seed=0,
+                        ll_trace=(0.0,))
     idx, post = posterior_assign(fit, [0, 0, 0])
     assert idx == 0
     assert post[0] == pytest.approx(0.5, abs=1e-15)
@@ -688,9 +709,8 @@ def test_assignment_permutation_invariance():
     idx, post = posterior_assign(fit, x)
     perm = [2, 0, 1]
     permuted = FittedMixture(
-        components=tuple(fit.components[j] for j in perm), k=3,
-        log_likelihood=fit.log_likelihood, iterations=fit.iterations,
-        converged=fit.converged, responsibilities=None, seed=fit.seed)
+        components=tuple(fit.components[j] for j in perm), converged=fit.converged,
+        responsibilities=None, seed=fit.seed, ll_trace=fit.ll_trace)
     idx_p, post_p = posterior_assign(permuted, x)
     np.testing.assert_allclose(post_p, post[perm], rtol=1e-12)
     assert perm[idx_p] == idx

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import make_component, make_fit
 from pitchmbc.errors import NoViableK, TooFewPoints
 from pitchmbc.mixture import EmConfig
-from pitchmbc.selection import (SelectionConfig, bic, bic_adj, choose_best,
+from pitchmbc.selection import (CriterionScore, SelectionConfig, bic, bic_adj, choose_best,
                                 select_k, write_score_csv)
 from pitchmbc.synth import gaussian_blobs
 
@@ -72,6 +72,15 @@ def test_bic_adj_prefers_spherical_of_equal_bic_fits(scale):
     s_sph = bic_adj(spherical, 40, scale)
     s_thin = bic_adj(thin, 40, scale)
     assert s_sph.bic_adj < s_thin.bic_adj
+
+
+def test_criterion_score_derives_bic_adj():
+    score = CriterionScore(k=2, log_likelihood=-7.0, bic=40.5, correlation_penalty=1.25,
+                           penalty_scale=3.0, converged=True)
+    assert score.bic_adj == 41.75
+    with pytest.raises(TypeError):
+        CriterionScore(k=2, log_likelihood=-7.0, bic=40.5, correlation_penalty=1.25,
+                       bic_adj=0.0, penalty_scale=3.0, converged=True)
 
 
 def test_bic_adj_rejects_negative_scale():

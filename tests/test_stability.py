@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from helpers import brute_force_alignment
 from pitchmbc.errors import DimensionMismatch, TooFewPoints
 from pitchmbc.mixture import EmConfig, fit_em
-from pitchmbc.stability import (align_clusters, aligned_agreement, draw_split,
-                                stability_run, write_stability_csv)
+from pitchmbc.stability import (StabilityReport, align_clusters, aligned_agreement,
+                                draw_split, stability_run, write_stability_csv)
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs
 
 
@@ -150,6 +150,20 @@ def test_stability_records_failed_replications():
     assert report.successful_indices() == (0,)
     # one surviving replication: mean defined, stderr pinned to 0
     assert report.stderr_80 == 0.0 and report.stderr_20 == 0.0
+
+
+@pytest.mark.parametrize("pairs,failures,means,stderrs", [
+    (((1.0, 0.5), (0.5, 0.25)), ((2, "empty"),), (0.75, 0.375), (0.25, 0.125)),
+    (((0.9, 0.4),), (), (0.9, 0.4), (0.0, 0.0)),
+    ((), ((0, "x"), (1, "y")), (math.nan, math.nan), (math.nan, math.nan)),
+])
+def test_stability_report_derives_its_summary(pairs, failures, means, stderrs):
+    report = StabilityReport("p", 2, 0.8, 0, pairs, failures)
+    assert report.replications == len(pairs) + len(failures)
+    np.testing.assert_equal((report.mean_80, report.mean_20), means)
+    np.testing.assert_equal((report.stderr_80, report.stderr_20), stderrs)
+    with pytest.raises(TypeError):
+        StabilityReport("p", 2, 0.8, 0, pairs, failures, mean_80=0.5)
 
 
 def test_stability_too_few_points():
