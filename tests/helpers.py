@@ -10,12 +10,16 @@ runs every restart to convergence. ``reference_e_stack``,
 ``reference_seed_centers`` and ``reference_seed_resp`` are the E-step and
 seeding as they were before they were tuned: through the ``np.linalg``
 wrappers, with subnormal responsibilities kept, and with
-``Generator.choice`` draws. ``child_env`` sets up subprocess tests.
+``Generator.choice`` draws. ``reference_labeled_csv``,
+``reference_plot_csv`` and ``reference_projection_svg`` are the per-pitch
+writers as they were before they were tuned: a ``csv.writer`` row at a time
+and one f-string per SVG circle. ``child_env`` sets up subprocess tests.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import os
@@ -29,6 +33,7 @@ from pitchmbc.errors import (EmptyCluster, EmptyDataset, MalformedRow, MissingCo
 from pitchmbc.ingest import OPTIONAL_FIELDS, REQUIRED_FIELDS, PitchRecord
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
                               _e_stack, _features, _m_stack, _seed_resp, _standardize)
+from pitchmbc.plotting import PANELS, _axis_range
 
 
 def child_env(**extra: str) -> dict:
@@ -325,3 +330,78 @@ def reference_fit_em(X, k: int, config: EmConfig) -> FittedMixture | None:
         if fit is not None and (best is None or fit.log_likelihood > best.log_likelihood):
             best = fit
     return best
+
+
+def reference_labeled_csv(indices, types, pmax, reference_labels=None) -> str:
+    """The text of ``labeling.write_labeled_csv``, written a row at a time by
+    ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    indices = np.asarray(indices).tolist()
+    refs = (itertools.repeat("") if reference_labels is None
+            else (ref or "" for ref in reference_labels))
+    writer.writerow(["row_id", "cluster_index", "pitch_type", "posterior_max", "reference_label"])
+    writer.writerows(zip(range(len(indices)), indices, map(str, types),
+                         map(repr, np.asarray(pmax, dtype=np.float64).tolist()), refs))
+    return buf.getvalue()
+
+
+def reference_plot_csv(X, types, colors) -> str:
+    """The text of ``plotting.write_plot_csv``, written a row at a time by
+    ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    speed, back, side = (map(repr, col) for col in np.asarray(X, dtype=np.float64).T.tolist())
+    writer.writerow(["start_speed", "back_spin", "side_spin", "pitch_type", "color"])
+    writer.writerows(zip(speed, back, side, map(str, types), colors))
+    return buf.getvalue()
+
+
+def reference_projection_svg(X, point_colors, legend=()) -> str:
+    """``plotting.projection_svg`` with one f-string per circle."""
+    panel, margin, gap = 300, 48, 26
+    width = 3 * (panel + 2 * margin) + 2 * gap
+    legend_height = 30 if legend else 0
+    height = panel + 2 * margin + legend_height
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    n = X.shape[0] if X.size else 0
+    for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
+        ox = p * (panel + 2 * margin + gap) + margin
+        oy = margin
+        parts.append(
+            f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
+            f'fill="none" stroke="#444" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{ox + panel / 2:.1f}" y="{oy + panel + 34}" text-anchor="middle" '
+            f'font-size="13" font-family="sans-serif">{xlabel}</text>'
+        )
+        parts.append(
+            f'<text x="{ox - 32}" y="{oy + panel / 2:.1f}" text-anchor="middle" '
+            f'font-size="13" font-family="sans-serif" '
+            f'transform="rotate(-90 {ox - 32} {oy + panel / 2:.1f})">{ylabel}</text>'
+        )
+        if not n:
+            continue
+        x_lo, x_hi = _axis_range(X[:, ix])
+        y_lo, y_hi = _axis_range(X[:, iy])
+        cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
+        cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
+        for x, y, color in zip(cx.tolist(), cy.tolist(), point_colors):
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
+                         f'fill-opacity="0.65"/>')
+    if legend:
+        lx = margin
+        ly = panel + 2 * margin + 12
+        for label, color in legend:
+            parts.append(f'<circle cx="{lx}" cy="{ly - 4}" r="5" fill="{color}"/>')
+            parts.append(
+                f'<text x="{lx + 10}" y="{ly}" font-size="13" font-family="sans-serif">{label}</text>'
+            )
+            lx += 12 * len(label) + 46
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
