@@ -14,6 +14,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -322,18 +323,62 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
 
 
 @contextmanager
-def csv_rows(dest, delimiter: str = ","):
-    """A ``csv.writer`` with ``\\n`` line ends over ``dest``.
-
-    ``dest`` is a path, opened as UTF-8 and closed on exit, or an open text
-    stream, which is left open. Every CSV table the package writes goes
-    through here.
-    """
+def _text_out(dest):
+    """``dest`` as a text stream: a path opened as UTF-8 without newline
+    translation and closed on exit, or an open text stream, left open."""
     if hasattr(dest, "write"):
-        yield csv.writer(dest, delimiter=delimiter, lineterminator="\n")
+        yield dest
         return
     with open(dest, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+@contextmanager
+def csv_rows(dest, delimiter: str = ","):
+    """A ``csv.writer`` with ``\\n`` line ends over ``dest``, a path or an open
+    text stream (see :func:`_text_out`).
+
+    The small tables go through here: the pitch file itself, whose
+    delimiter is the schema's, and the score, stability and batch-summary
+    tables. The per-pitch outputs go through :func:`write_csv_columns`.
+    """
+    with _text_out(dest) as fh:
         yield csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+
+
+def _csv_cells(values) -> dict:
+    """Each distinct cell of ``values`` as ``csv.writer`` writes it after
+    another cell of its row (alone, an empty cell would be quoted)."""
+    text = {}
+    for value in set(values):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((None, value))
+        text[value] = buf.getvalue()[1:-1]
+    return text
+
+
+def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``header``, then one comma-separated row per entry of the
+    equal-length ``columns`` (two or more), with ``\\n`` line ends.
+
+    A numpy array column is written by the ``repr`` of each value, so floats
+    round-trip. Every other column holds hashable cells written exactly as
+    ``csv.writer`` writes them, quoting included, which is worked out once
+    per distinct cell. All rows are formatted by one ``%`` call over a flat
+    tuple of the cells. ``dest`` is a path or an open text stream, as for
+    :func:`csv_rows`, which would write the same bytes given each number's
+    ``repr``.
+    """
+    lengths = [len(col) for col in columns]
+    if len(lengths) < 2 or len(set(lengths)) != 1:
+        raise ValueError(f"need two or more columns of equal length, got lengths {lengths}")
+    numeric = [isinstance(col, np.ndarray) for col in columns]
+    cells = [col.tolist() if is_num else map(_csv_cells(col).__getitem__, col)
+             for col, is_num in zip(columns, numeric)]
+    row = ",".join("%r" if is_num else "%s" for is_num in numeric) + "\n"
+    with _text_out(dest) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(row * lengths[0] % tuple(chain.from_iterable(zip(*cells))))
 
 
 def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_SCHEMA) -> None:

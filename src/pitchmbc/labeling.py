@@ -15,12 +15,11 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import csv_rows
+from .ingest import write_csv_columns
 from .mixture import FittedMixture, MixtureComponent, e_step, posterior_assign
 
 
@@ -195,20 +194,14 @@ def classify_dataset(model: LabeledModel, data) -> tuple[np.ndarray, list[PitchT
     return idx, [model.labels[i] for i in idx.tolist()], pmax
 
 
-def _names(types) -> map:
-    """``str`` of each type, computed once per distinct type."""
-    name = {pt: str(pt) for pt in set(types)}
-    return map(name.__getitem__, types)
-
-
 def write_labeled_csv(dest, indices, types, pmax, reference_labels=None) -> None:
     """Per-pitch labels: row_id, cluster_index, pitch_type, posterior_max, reference_label."""
-    indices = np.asarray(indices).tolist()
-    refs = repeat("") if reference_labels is None else (ref or "" for ref in reference_labels)
-    with csv_rows(dest) as writer:
-        writer.writerow(["row_id", "cluster_index", "pitch_type", "posterior_max", "reference_label"])
-        writer.writerows(zip(range(len(indices)), indices, _names(types),
-                             map(repr, np.asarray(pmax, dtype=np.float64).tolist()), refs))
+    indices = np.asarray(indices)
+    n = len(indices)
+    write_csv_columns(dest, ["row_id", "cluster_index", "pitch_type", "posterior_max",
+                             "reference_label"],
+                      [np.arange(n), indices, types, np.asarray(pmax, dtype=np.float64),
+                       (None,) * n if reference_labels is None else reference_labels])
 
 
 def confusion_counts(reference_labels, types) -> dict[tuple[str, str], int]:

@@ -5,16 +5,22 @@ grey, sinker light blue, cutter blue, changeup green, knuckleball orange,
 slider brown); curveball clusters alternate black then purple so split
 curveball clusters stay distinguishable. Output is plain SVG rather than a
 raster so identical inputs produce identical bytes.
+
+Both outputs hold one entry per pitch, so neither is written a point at a
+time: the scatter CSV goes through :func:`pitchmbc.ingest.write_csv_columns`,
+and each SVG panel's circles are formatted by a single ``%`` call over a
+flat tuple of coordinates and color attributes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import csv_rows
-from .labeling import PitchType, _names
+from .ingest import write_csv_columns
+from .labeling import PitchType
 
 BASE_COLORS: dict[PitchType, str] = {
     PitchType.FOUR_SEAM: "red",
@@ -51,10 +57,8 @@ def cluster_colors(labels: Sequence[PitchType]) -> list[str]:
 def write_plot_csv(dest, X: np.ndarray, types: Sequence[PitchType],
                    colors: Sequence[str]) -> None:
     """Scatter rows: start_speed, back_spin, side_spin, pitch_type, color."""
-    speed, back, side = (map(repr, col) for col in np.asarray(X, dtype=np.float64).T.tolist())
-    with csv_rows(dest) as writer:
-        writer.writerow(["start_speed", "back_spin", "side_spin", "pitch_type", "color"])
-        writer.writerows(zip(speed, back, side, _names(types), colors))
+    write_csv_columns(dest, ["start_speed", "back_spin", "side_spin", "pitch_type", "color"],
+                      [*np.asarray(X, dtype=np.float64).T, types, colors])
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float]:
@@ -82,7 +86,10 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     n = X.shape[0] if X.size else 0
+    if len(point_colors) != n:
+        raise ValueError(f"{len(point_colors)} colors for {n} points")
     tail = {color: f' r="3" fill="{color}" fill-opacity="0.65"/>' for color in set(point_colors)}
+    tails = list(map(tail.__getitem__, point_colors))
     for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
         ox = p * (panel + 2 * margin + gap) + margin
         oy = margin
@@ -105,8 +112,9 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         y_lo, y_hi = _axis_range(X[:, iy])
         cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
         cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
-        parts += (f'<circle cx="{x:.2f}" cy="{y:.2f}"{tail[color]}'
-                  for x, y, color in zip(cx.tolist(), cy.tolist(), point_colors))
+        circles = '<circle cx="%.2f" cy="%.2f"%s\n' * n % tuple(
+            chain.from_iterable(zip(cx.tolist(), cy.tolist(), tails)))
+        parts.append(circles[:-1])
     if legend:
         lx = margin
         ly = panel + 2 * margin + 12
