@@ -7,7 +7,9 @@ those of :class:`FittedMixture` minus ``responsibilities`` (recomputable from
 the components and the data), each component those of
 :class:`MixtureComponent` and each score row those of :class:`CriterionScore`.
 The fit's ``k``, ``log_likelihood``, ``iterations`` and ``ll_decrease_max`` and
-each score row's ``bic_adj`` are derived copies, which ``load_archive`` checks.
+each score row's ``bic_adj`` are derived copies. ``load_archive`` checks each
+copy, and that every bool, int and float field of the fit and of each score
+row holds a JSON value of that type.
 Floats go through Python's shortest round-trip repr, which json preserves
 exactly, making load(save(m)) lossless.
 """
@@ -82,11 +84,26 @@ def save_archive(archive: ModelArchive, path) -> None:
     Path(path).write_text(archive_to_json(archive), encoding="utf-8")
 
 
+_JSON_SCALARS = {"bool": (bool,), "int": (int,), "float": (int, float)}
+
+
+def _is_json(declared: str, value) -> bool:
+    """Whether ``value`` is a JSON value of the ``declared`` type, when that is
+    bool, int or float; a JSON bool is a Python int, but fits a bool only."""
+    kinds = _JSON_SCALARS.get(declared)
+    return kinds is None or (isinstance(value, kinds)
+                             and isinstance(value, bool) == (declared == "bool"))
+
+
 def _record_from_dict(cls, doc: dict, **given):
     """A ``cls`` built from ``given`` and ``doc``'s other init fields; ValueError unless
-    ``doc`` holds just the fields of ``cls`` and the value of each derived one."""
+    ``doc`` holds just the fields of ``cls``, each bool, int and float field a JSON
+    value of that type, and the value of each derived one."""
     if set(doc) | set(given) != {f.name for f in fields(cls)}:
         raise ValueError(f"{cls.__name__} keys {sorted(doc)} are not its fields")
+    for f in fields(cls):
+        if f.name not in given and not _is_json(f.type, doc[f.name]):
+            raise ValueError(f"{cls.__name__}.{f.name} is {doc[f.name]!r}, not a JSON {f.type}")
     record = cls(**{f.name: doc[f.name] for f in fields(cls) if f.init and f.name not in given},
                  **given)
     for f in fields(cls):
@@ -97,7 +114,7 @@ def _record_from_dict(cls, doc: dict, **given):
 
 
 def _fit_from_dict(doc: dict) -> FittedMixture:
-    return _record_from_dict(FittedMixture, doc, responsibilities=None, seed=int(doc["seed"]),
+    return _record_from_dict(FittedMixture, doc, responsibilities=None,
                              components=tuple(MixtureComponent(**c) for c in doc["components"]),
                              ll_trace=tuple(float(v) for v in doc["ll_trace"]))
 

@@ -205,6 +205,33 @@ def test_archive_whose_derived_copy_disagrees_is_archive_error(tmp_path, fitted_
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "plot"])
+@pytest.mark.parametrize("record,key,doctor", [
+    ("fit", "converged", lambda v: "no"),
+    ("score_table", "k", lambda v: "one"),
+    ("score_table", "converged", lambda v: "no"),
+    ("fit", "seed", lambda v: v + 0.5),
+    ("score_table", "k", lambda v: True),
+    ("fit", "iterations", float),
+    ("score_table", "bic", lambda v: str(v)),
+], ids=["fit-converged-string", "score-k-string", "score-converged-string", "fit-seed-float",
+        "score-k-bool", "fit-iterations-float", "score-bic-string"])
+def test_archive_field_of_the_wrong_json_type_is_archive_error(tmp_path, fitted_model,
+                                                               pitcher_csv, capsys, command,
+                                                               record, key, doctor):
+    doc = json.loads(fitted_model.read_text())
+    row = doc["fit"] if record == "fit" else doc["score_table"][-1]
+    row[key] = doctor(row[key])
+    model = tmp_path / "doctored.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match=f"{key} is {re.escape(repr(row[key]))}, not a JSON"):
+        load_archive(model)
+    out = tmp_path / ("x.csv" if command == "classify" else "plot")
+    code = main([command, "--model", str(model), "--input", str(pitcher_csv), "--out", str(out)])
+    assert code == 6
+    assert "malformed archive" in capsys.readouterr().err
+
+
 def test_stability_command(pitcher_csv, tmp_path, capsys):
     out = tmp_path / "stability.csv"
     code = main(["stability", "--input", str(pitcher_csv), "--k", "5",
