@@ -82,8 +82,8 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
     height = panel + 2 * margin + legend_height
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'viewBox="0 0 {width} {height}">\n',
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
     ]
     n = X.shape[0] if X.size else 0
     if len(point_colors) != n:
@@ -95,16 +95,16 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         oy = margin
         parts.append(
             f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
-            f'fill="none" stroke="#444" stroke-width="1"/>'
+            f'fill="none" stroke="#444" stroke-width="1"/>\n'
         )
         parts.append(
             f'<text x="{ox + panel / 2:.1f}" y="{oy + panel + 34}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{xlabel}</text>'
+            f'font-size="13" font-family="sans-serif">{xlabel}</text>\n'
         )
         parts.append(
             f'<text x="{ox - 32}" y="{oy + panel / 2:.1f}" text-anchor="middle" '
             f'font-size="13" font-family="sans-serif" '
-            f'transform="rotate(-90 {ox - 32} {oy + panel / 2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 {ox - 32} {oy + panel / 2:.1f})">{ylabel}</text>\n'
         )
         if not n:
             continue
@@ -112,17 +112,15 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         y_lo, y_hi = _axis_range(X[:, iy])
         cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
         cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
-        circles = '<circle cx="%.2f" cy="%.2f"%s\n' * n % tuple(
-            chain.from_iterable(zip(cx.tolist(), cy.tolist(), tails)))
-        parts.append(circles[:-1])
+        parts.append('<circle cx="%.2f" cy="%.2f"%s\n' * n % tuple(
+            chain.from_iterable(zip(cx.tolist(), cy.tolist(), tails))))
     if legend:
         lx = margin
         ly = panel + 2 * margin + 12
         for label, color in legend:
-            parts.append(f'<circle cx="{lx}" cy="{ly - 4}" r="5" fill="{color}"/>')
-            parts.append(
-                f'<text x="{lx + 10}" y="{ly}" font-size="13" font-family="sans-serif">{label}</text>'
-            )
+            parts.append(f'<circle cx="{lx}" cy="{ly - 4}" r="5" fill="{color}"/>\n')
+            parts.append(f'<text x="{lx + 10}" y="{ly}" font-size="13" '
+                         f'font-family="sans-serif">{label}</text>\n')
             lx += 12 * len(label) + 46
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)
