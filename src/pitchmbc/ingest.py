@@ -14,9 +14,9 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -346,6 +346,24 @@ def csv_rows(dest, delimiter: str = ","):
         yield csv.writer(fh, delimiter=delimiter, lineterminator="\n")
 
 
+# Rows per % call in format_rows. One call per whole table is no faster, and
+# its megabyte-sized tuples and strings fragment the heap: over a hundred
+# classify + plot operations on 20k-row files in one process, peak RSS crept
+# up to 10% above that of a row-at-a-time writer, where 1024-row blocks stay
+# below it.
+ROWS_PER_CALL = 1024
+
+
+def format_rows(row: str, rows) -> Iterator[str]:
+    """``row``, a ``%`` template, filled from each tuple of cells in ``rows``;
+    yielded in blocks of up to ``ROWS_PER_CALL`` rows, each formatted by one
+    ``%`` call over a flat tuple of its cells, so the per-cell work is done
+    in C."""
+    rows = iter(rows)
+    while block := list(islice(rows, ROWS_PER_CALL)):
+        yield row * len(block) % tuple(chain.from_iterable(block))
+
+
 def _csv_cells(values) -> dict:
     """Each distinct cell of ``values`` as ``csv.writer`` writes it after
     another cell of its row (alone, an empty cell would be quoted)."""
@@ -364,8 +382,8 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     A numpy array column is written by the ``repr`` of each value, so floats
     round-trip. Every other column holds hashable cells written exactly as
     ``csv.writer`` writes them, quoting included, which is worked out once
-    per distinct cell. All rows are formatted by one ``%`` call over a flat
-    tuple of the cells. ``dest`` is a path or an open text stream, as for
+    per distinct cell. The rows are formatted by :func:`format_rows`.
+    ``dest`` is a path or an open text stream, as for
     :func:`csv_rows`, which would write the same bytes given each number's
     ``repr``.
     """
@@ -378,7 +396,8 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     row = ",".join("%r" if is_num else "%s" for is_num in numeric) + "\n"
     with _text_out(dest) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write(row * lengths[0] % tuple(chain.from_iterable(zip(*cells))))
+        for block in format_rows(row, zip(*cells)):
+            fh.write(block)
 
 
 def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_SCHEMA) -> None:

@@ -8,18 +8,17 @@ raster so identical inputs produce identical bytes.
 
 Both outputs hold one entry per pitch, so neither is written a point at a
 time: the scatter CSV goes through :func:`pitchmbc.ingest.write_csv_columns`,
-and each SVG panel's circles are formatted by a single ``%`` call over a
-flat tuple of coordinates and color attributes.
+and each SVG panel's circles through :func:`pitchmbc.ingest.format_rows`,
+which fills a ``%`` template for a block of points in one call.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import write_csv_columns
+from .ingest import format_rows, write_csv_columns
 from .labeling import PitchType
 
 BASE_COLORS: dict[PitchType, str] = {
@@ -112,8 +111,8 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
         y_lo, y_hi = _axis_range(X[:, iy])
         cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
         cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
-        parts.append('<circle cx="%.2f" cy="%.2f"%s\n' * n % tuple(
-            chain.from_iterable(zip(cx.tolist(), cy.tolist(), tails))))
+        parts += format_rows('<circle cx="%.2f" cy="%.2f"%s\n',
+                             zip(cx.tolist(), cy.tolist(), tails))
     if legend:
         lx = margin
         ly = panel + 2 * margin + 12

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_labeled_csv, reference_plot_csv, reference_projection_svg
+from pitchmbc.ingest import ROWS_PER_CALL
 from pitchmbc.labeling import PitchType, write_labeled_csv
 from pitchmbc.plotting import projection_svg, write_plot_csv
 
@@ -103,11 +104,11 @@ def test_projection_svg_matches_oracle(rows, legend):
     assert_same_svg(np.array(points, dtype=np.float64).reshape(-1, 3), colors, legend)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_many_rows_match_oracles(tmp_path, seed):
-    """Several thousand rows drawn from the same awkward pools."""
+@pytest.mark.parametrize("seed,n", [(0, ROWS_PER_CALL), (1, 3000)])
+def test_many_rows_match_oracles(tmp_path, seed, n):
+    """One full block of rows, and several blocks with a partial one, drawn
+    from the same awkward pools."""
     rng = np.random.default_rng(seed)
-    n = 3000
     types = [list(PitchType)[i] for i in rng.integers(len(PitchType), size=n)]
     texts = ["".join(rng.choice(TRICKY, size=int(size))) for size in rng.integers(4, size=n)]
     refs = [None if i % 7 == 0 else t for i, t in enumerate(texts)]
