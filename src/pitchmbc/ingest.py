@@ -348,9 +348,9 @@ def csv_rows(dest, delimiter: str = ","):
 
 # Rows per % call in format_rows. One call per whole table is no faster, and
 # its megabyte-sized tuples and strings fragment the heap: over a hundred
-# classify + plot operations on 20k-row files in one process, peak RSS crept
-# up to 10% above that of a row-at-a-time writer, where 1024-row blocks stay
-# below it.
+# classify + plot operations on 20k-row files in one process (2-core x86-64
+# VM), peak RSS crept up to 10% above that of a row-at-a-time writer, where
+# 1024-row blocks stay below it.
 ROWS_PER_CALL = 1024
 
 
@@ -383,9 +383,8 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     round-trip. Every other column holds hashable cells written exactly as
     ``csv.writer`` writes them, quoting included, which is worked out once
     per distinct cell. The rows are formatted by :func:`format_rows`.
-    ``dest`` is a path or an open text stream, as for
-    :func:`csv_rows`, which would write the same bytes given each number's
-    ``repr``.
+    ``dest`` is a path or an open text stream, as for :func:`csv_rows`,
+    which would write the same bytes given each number's ``repr``.
     """
     lengths = [len(col) for col in columns]
     if len(lengths) < 2 or len(set(lengths)) != 1:
@@ -396,8 +395,7 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     row = ",".join("%r" if is_num else "%s" for is_num in numeric) + "\n"
     with _text_out(dest) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for block in format_rows(row, zip(*cells)):
-            fh.write(block)
+        fh.writelines(format_rows(row, zip(*cells)))
 
 
 def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_SCHEMA) -> None:

@@ -44,14 +44,17 @@ def written(write, tmp_path) -> str:
 
 def assert_same_svg(X, colors, legend):
     """``projection_svg`` gives the oracle's text, or raises where it raises (a
-    constant column of magnitude 2**53 or more leaves a zero-width axis)."""
-    try:
-        want = reference_projection_svg(X, colors, legend)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            projection_svg(X, colors, legend)
-        return
-    assert projection_svg(X, colors, legend) == want
+    constant column of magnitude 2**53 or more leaves a zero-width axis).
+    numpy's warnings are off: a subnormal axis width makes the scale infinite
+    and the coordinates NaN, and both sides must still agree on the text."""
+    with np.errstate(all="ignore"):
+        try:
+            want = reference_projection_svg(X, colors, legend)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                projection_svg(X, colors, legend)
+            return
+        assert projection_svg(X, colors, legend) == want
 
 
 def labeled_rows(n):
@@ -99,6 +102,7 @@ def test_plot_csv_matches_oracle(tmp_path, rows):
        st.lists(st.tuples(TEXT, TEXT), max_size=3))
 @example(([], [], []), [])
 @example(([(5e-324, 1e-7, -0.0)], [PitchType.SINKER], ["%s"]), [("50%", "%d")])
+@example(([(-0.0, -0.0, -0.0), (5e-324, -0.0, -0.0)], [PitchType.SLIDER] * 2, ["", ""]), [])
 def test_projection_svg_matches_oracle(rows, legend):
     points, _, colors = rows
     assert_same_svg(np.array(points, dtype=np.float64).reshape(-1, 3), colors, legend)
