@@ -9,7 +9,8 @@ the components and the data), each component those of
 The fit's ``k``, ``log_likelihood``, ``iterations`` and ``ll_decrease_max`` and
 each score row's ``bic_adj`` are derived copies. ``load_archive`` checks each
 copy, and that every bool, int and float field of the fit and of each score
-row holds a JSON value of that type.
+row, ``anchor_index``, ``penalty_scale``, each ``ll_trace`` entry and each
+``selection_failures`` k holds a JSON value of that type; none is coerced.
 Floats go through Python's shortest round-trip repr, which json preserves
 exactly, making load(save(m)) lossless.
 """
@@ -95,6 +96,14 @@ def _is_json(declared: str, value) -> bool:
                              and isinstance(value, bool) == (declared == "bool"))
 
 
+def _json_value(declared: str, value, what: str):
+    """``value``, if it is a JSON value of the ``declared`` type (see
+    :func:`_is_json`); ValueError naming it as ``what`` if not."""
+    if not _is_json(declared, value):
+        raise ValueError(f"{what} is {value!r}, not a JSON {declared}")
+    return value
+
+
 def _record_from_dict(cls, doc: dict, **given):
     """A ``cls`` built from ``given`` and ``doc``'s other init fields; ValueError unless
     ``doc`` holds just the fields of ``cls``, each bool, int and float field a JSON
@@ -102,8 +111,8 @@ def _record_from_dict(cls, doc: dict, **given):
     if set(doc) | set(given) != {f.name for f in fields(cls)}:
         raise ValueError(f"{cls.__name__} keys {sorted(doc)} are not its fields")
     for f in fields(cls):
-        if f.name not in given and not _is_json(f.type, doc[f.name]):
-            raise ValueError(f"{cls.__name__}.{f.name} is {doc[f.name]!r}, not a JSON {f.type}")
+        if f.name not in given:
+            _json_value(f.type, doc[f.name], f"{cls.__name__}.{f.name}")
     record = cls(**{f.name: doc[f.name] for f in fields(cls) if f.init and f.name not in given},
                  **given)
     for f in fields(cls):
@@ -116,7 +125,8 @@ def _record_from_dict(cls, doc: dict, **given):
 def _fit_from_dict(doc: dict) -> FittedMixture:
     return _record_from_dict(FittedMixture, doc, responsibilities=None,
                              components=tuple(MixtureComponent(**c) for c in doc["components"]),
-                             ll_trace=tuple(float(v) for v in doc["ll_trace"]))
+                             ll_trace=tuple(_json_value("float", v, "FittedMixture.ll_trace entry")
+                                            for v in doc["ll_trace"]))
 
 
 def load_archive(path) -> ModelArchive:
@@ -135,12 +145,13 @@ def load_archive(path) -> ModelArchive:
             pitcher_id=doc["pitcher_id"],
             fit=_fit_from_dict(doc["fit"]),
             labels=tuple(PitchType(v) for v in doc["labels"]),
-            anchor_index=int(doc["anchor_index"]),
+            anchor_index=_json_value("int", doc["anchor_index"], "anchor_index"),
             rule_trace=tuple(tuple(t) for t in doc["rule_trace"]),
             score_table=tuple(_record_from_dict(CriterionScore, s) for s in doc["score_table"]),
-            selection_failures=tuple((int(k), reason) for k, reason in doc["selection_failures"]),
+            selection_failures=tuple((_json_value("int", k, "selection_failures k"), reason)
+                                     for k, reason in doc["selection_failures"]),
             criterion=doc["criterion"],
-            penalty_scale=float(doc["penalty_scale"]),
+            penalty_scale=_json_value("float", doc["penalty_scale"], "penalty_scale"),
             config=doc.get("config", {}),
         )
         # what classify and plot index by, checked here so a bad archive

@@ -21,7 +21,9 @@ from .ingest import (OPTIONAL_FIELDS, REQUIRED_FIELDS, ColumnSchema, csv_rows, f
 from .labeling import (LabelConfig, classify_dataset, confusion_counts,
                        format_confusion, label_clusters, write_labeled_csv)
 from .mixture import POINTS_PER_COMPONENT, EmConfig, fit_em
-from .plotting import cluster_colors, projection_svg, write_plot_csv
+# projection_svg is not called here; perfbench/spans.py wraps it by this name
+from .plotting import (cluster_colors, projection_svg, write_plot_csv,  # noqa: F401
+                       write_projection_svg)
 from .selection import CRITERIA, SelectionConfig, select_k, write_score_csv
 from .stability import check_split, stability_run, write_stability_csv
 
@@ -315,7 +317,7 @@ def cmd_plot(args) -> int:
     for label, color in zip(model.labels, per_cluster):
         if (str(label), color) not in legend:
             legend.append((str(label), color))
-    svg_path.write_text(projection_svg(X, colors, legend), encoding="utf-8")
+    write_projection_svg(svg_path, X, colors, legend)
     print(f"scatter -> {csv_path}\nprojections -> {svg_path}")
     return EXIT_OK
 

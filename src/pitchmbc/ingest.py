@@ -9,11 +9,13 @@ internally-consistent unit; nothing in the pipeline converts them.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -195,13 +197,56 @@ class PitchDataset:
             self.intentional[rows], rejected, removed_intentional)
 
 
-def _read_text(source) -> str:
-    """The whole of a path, byte stream or text stream as text, without a
-    leading byte-order mark (as Excel writes one)."""
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.removeprefix("\ufeff")
+# Rows parsed into Python floats before they are packed into an array, so
+# that the floats of the whole file (32 bytes each) are never held at once.
+PARSE_ROWS = 4096
+
+# Bytes read from a byte source per decode. Each read is cut after its last
+# line end, so that no character, "\r\n" or line is split between decodes.
+READ_BYTES = 1 << 16
+
+
+def _line_breaks(data: bytes) -> int:
+    """The number of "\\r\\n", "\\r" and "\\n" line ends in ``data``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _decoded_blocks(blocks) -> Iterator[io.StringIO]:
+    """The text of the UTF-8 byte ``blocks``, without a leading byte-order
+    mark, as one newline-untranslated text stream per run of whole lines,
+    so its lines end at "\\n", "\\r\\n" or "\\r" only.
+
+    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` when their stream
+    is due, after every line of the earlier streams; the error's ``object``
+    begins at the start of the line after those.
+    """
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
+    carry = b""
+    for block in blocks:
+        data = carry + block
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        carry = data[cut:]
+        yield io.StringIO(decode(data[:cut]), newline="")
+    yield io.StringIO(decode(carry, True), newline="")
+
+
+@contextmanager
+def _text_lines(source) -> Iterator[Iterator[str]]:
+    """The lines, ends kept, of a path, byte stream or text stream, without a
+    leading byte-order mark (as Excel writes one). A path or byte stream is
+    decoded as it is read (see :func:`_decoded_blocks`); a stream whose
+    ``read()`` returns text is read whole. A path is opened and closed here;
+    a stream is left open."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield chain.from_iterable(_decoded_blocks(iter(partial(fh.read, READ_BYTES), b"")))
+        return
+    first = source.read(READ_BYTES)
+    if isinstance(first, str):
+        yield io.StringIO((first + source.read()).removeprefix("\ufeff"), newline="")
+    else:
+        rest = iter(partial(source.read, READ_BYTES), b"")
+        yield chain.from_iterable(_decoded_blocks(chain((first,), rest)))
 
 
 def _parse_float(token: str, what: str) -> float:
@@ -245,80 +290,101 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
     """Parse a delimited pitch file into a dataset.
 
     ``source`` may be a path, a text stream, or a byte stream, in UTF-8
-    with or without a byte-order mark. Rows end at "\\n", "\\r\\n" or "\\r"
-    only, and a quoted cell may span lines. Rows with missing or
-    unparseable required values are rejected (not fatal) and reported on
-    ``dataset.rejected`` as (line_number, reason), where line_number is the
-    physical line the row starts on and the header starts on line 1.
+    with or without a byte-order mark; a path or byte stream is decoded as
+    it is read, so the parse never holds the whole file. Rows end at "\\n",
+    "\\r\\n" or "\\r" only, and a quoted cell may span lines. Rows with
+    missing or unparseable required values are rejected (not fatal) and
+    reported on ``dataset.rejected`` as (line_number, reason), where
+    line_number is the physical line the row starts on and the header
+    starts on line 1. Equal pitcher, season and label cells share one str.
     Raises :class:`MissingColumn` when a required field has no column,
     :class:`MalformedRow` when the csv module cannot read a row (a cell over
-    its field size limit) and :class:`EmptyDataset` when no row survives.
+    its field size limit) or a byte is not UTF-8, naming its line, and
+    :class:`EmptyDataset` when no row survives.
     """
-    reader = csv.reader(io.StringIO(_read_text(source), newline=""), delimiter=schema.delimiter)
-    next_line = 1  # the physical line the row being read starts on
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset("input has no header")
-        header = [h.strip() for h in header]
-        position: dict[str, int] = {}
-        for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
-            column = getattr(schema, logical)
-            try:
-                position[logical] = header.index(column)
-            except ValueError:
-                if logical in REQUIRED_FIELDS:
-                    raise MissingColumn(logical, column) from None
-
-        def get(row: Sequence[str], logical: str) -> str:
-            idx = position.get(logical)
-            return row[idx] if idx is not None and idx < len(row) else ""
-
-        i_pid, i_speed, i_back, i_side = (position[f] for f in REQUIRED_FIELDS)
-        i_season, i_label, i_flag = (position.get(f) for f in OPTIONAL_FIELDS)
-        isfinite = math.isfinite
-        values: list[float] = []
-        pitchers: list[str] = []
-        seasons: list[str] = []
-        labels: list[str] = []
-        flags: list[bool] = []
-        rejected: list[tuple[int, str]] = []
-        next_line = reader.line_num + 1
-        for row in reader:
-            line_no, next_line = next_line, reader.line_num + 1
-            try:  # a well-formed row; any other row takes the per-cell path below
-                pid = row[i_pid].strip()
-                speed, back, side = float(row[i_speed]), float(row[i_back]), float(row[i_side])
-                flag = False if i_flag is None else _FLAGS[row[i_flag]]
-                season = "" if i_season is None else row[i_season].strip()
-                label = "" if i_label is None else row[i_label].strip()
-                if not (pid and 0.0 < speed < 200.0 and isfinite(back) and isfinite(side)):
-                    raise ValueError
-            except (IndexError, KeyError, ValueError):
-                if not any(cell.strip() for cell in row):
-                    continue
+    with _text_lines(source) as lines:
+        reader = csv.reader(lines, delimiter=schema.delimiter)
+        next_line = 1  # the physical line the row being read starts on
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDataset("input has no header")
+            header = [h.strip() for h in header]
+            position: dict[str, int] = {}
+            for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+                column = getattr(schema, logical)
                 try:
-                    rec = _parse_row(row, get)
-                except ValueError as exc:
-                    rejected.append((line_no, str(MalformedRow(line_no, exc))))
-                    continue
-                pid, speed = rec.pitcher_id, rec.start_speed
-                back, side = rec.back_spin, rec.side_spin
-                season, label = rec.season or "", rec.reference_label or ""
-                flag = rec.is_intentional_ball
-            values += (speed, back, side)
-            pitchers.append(pid)
-            seasons.append(season)
-            labels.append(label)
-            flags.append(flag)
-    except csv.Error as exc:  # a cell over the csv module's field size limit, say
-        raise MalformedRow(next_line, exc) from None
+                    position[logical] = header.index(column)
+                except ValueError:
+                    if logical in REQUIRED_FIELDS:
+                        raise MissingColumn(logical, column) from None
+
+            def get(row: Sequence[str], logical: str) -> str:
+                idx = position.get(logical)
+                return row[idx] if idx is not None and idx < len(row) else ""
+
+            i_pid, i_speed, i_back, i_side = (position[f] for f in REQUIRED_FIELDS)
+            i_season, i_label, i_flag = (position.get(f) for f in OPTIONAL_FIELDS)
+            isfinite = math.isfinite
+            # each pitcher, season and label cell read so far, as read, mapped
+            # to the first str of its stripped value, which every row holding
+            # that value shares; a new cell takes the per-cell path below
+            text: dict[str, str] = {}
+            blocks: list[np.ndarray] = []  # the numbers of each run of PARSE_ROWS rows
+            pitchers: list[str] = []
+            seasons: list[str] = []
+            labels: list[str] = []
+            flags: list[bool] = []
+            rejected: list[tuple[int, str]] = []
+            next_line = reader.line_num + 1
+            while True:  # until a run reads no line
+                first_line, values = next_line, []
+                for row in islice(reader, PARSE_ROWS):
+                    line_no, next_line = next_line, reader.line_num + 1
+                    try:  # a well-formed row of known text; any other takes the path below
+                        pid = text[row[i_pid]]
+                        speed = float(row[i_speed])
+                        back, side = float(row[i_back]), float(row[i_side])
+                        flag = False if i_flag is None else _FLAGS[row[i_flag]]
+                        season = "" if i_season is None else text[row[i_season]]
+                        label = "" if i_label is None else text[row[i_label]]
+                        if not (pid and 0.0 < speed < 200.0 and isfinite(back) and isfinite(side)):
+                            raise ValueError
+                    except (IndexError, KeyError, ValueError):
+                        if not any(cell.strip() for cell in row):
+                            continue
+                        try:
+                            rec = _parse_row(row, get)
+                        except ValueError as exc:
+                            rejected.append((line_no, str(MalformedRow(line_no, exc))))
+                            continue
+                        pid, season, label = (text.setdefault(v, v) for v in (
+                            rec.pitcher_id, rec.season or "", rec.reference_label or ""))
+                        for i, value in ((i_pid, pid), (i_season, season), (i_label, label)):
+                            if i is not None and i < len(row):  # a padded cell, say
+                                text.setdefault(row[i], value)
+                        speed, back, side = rec.start_speed, rec.back_spin, rec.side_spin
+                        flag = rec.is_intentional_ball
+                    values += (speed, back, side)
+                    pitchers.append(pid)
+                    seasons.append(season)
+                    labels.append(label)
+                    flags.append(flag)
+                blocks.append(np.array(values, dtype=np.float64))
+                if next_line == first_line:
+                    break
+        except csv.Error as exc:  # a cell over the csv module's field size limit, say
+            raise MalformedRow(next_line, exc) from None
+        except UnicodeDecodeError as exc:
+            # raised by the block of lines that begins after the last line read
+            bad = reader.line_num + 1 + _line_breaks(exc.object[:exc.start])
+            raise MalformedRow(bad, f"not UTF-8 ({exc.reason})") from None
 
     if not pitchers:
         raise EmptyDataset(
             f"no valid rows ({len(rejected)} malformed)", rejected=rejected
         )
-    return PitchDataset.from_columns(np.array(values, dtype=np.float64).reshape(-1, 3),
+    return PitchDataset.from_columns(np.concatenate(blocks).reshape(-1, 3),
                                      pitchers, seasons, labels, flags, rejected=rejected)
 
 

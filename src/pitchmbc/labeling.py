@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import write_csv_columns
-from .mixture import FittedMixture, MixtureComponent, e_step, posterior_assign
+from .mixture import (FittedMixture, MixtureComponent, _as_matrix, e_step,
+                      posterior_assign)
 
 
 class PitchType(str, enum.Enum):
@@ -186,11 +187,30 @@ def classify_pitch(model: LabeledModel, x) -> tuple[PitchType, int, np.ndarray]:
     return model.labels[idx], idx, posterior
 
 
+# Rows per e_step in classify_dataset. Its temporaries, about 300 bytes a row
+# at k = 5, then stay near 1 MB however many rows a file holds; on a 2-core
+# x86-64 VM, 4096-row blocks of a 20k-row file ran as fast as one whole-file
+# e_step, and 1024-row blocks 45% slower.
+CLASSIFY_ROWS = 4096
+
+
 def classify_dataset(model: LabeledModel, data) -> tuple[np.ndarray, list[PitchType], np.ndarray]:
-    """(cluster_index, pitch_type, max posterior) for every row of ``data``."""
-    resp, _ = e_step(model.fit.components, data)
-    idx = np.argmax(resp, axis=1)
-    pmax = resp[np.arange(resp.shape[0]), idx]
+    """(cluster_index, pitch_type, max posterior) for every row of ``data``.
+
+    The rows go through ``e_step`` ``CLASSIFY_ROWS`` at a time, and each
+    row's result has the bits one ``e_step`` over all the rows gives it.
+    """
+    X = _as_matrix(data)
+    n = X.shape[0]
+    idx = np.empty(n, dtype=np.intp)
+    pmax = np.empty(n)
+    for start in range(0, n, CLASSIFY_ROWS):
+        # BLAS rounds a one-row matmul its own way, so a last block of one
+        # row starts a row early
+        rows = slice(min(start, max(n - 2, 0)), start + CLASSIFY_ROWS)
+        resp, _ = e_step(model.fit.components, X[rows])
+        best = np.argmax(resp, axis=1)
+        idx[rows], pmax[rows] = best, resp[np.arange(resp.shape[0]), best]
     return idx, [model.labels[i] for i in idx.tolist()], pmax
 
 

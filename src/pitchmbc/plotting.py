@@ -9,16 +9,19 @@ raster so identical inputs produce identical bytes.
 Both outputs hold one entry per pitch, so neither is written a point at a
 time: the scatter CSV goes through :func:`pitchmbc.ingest.write_csv_columns`,
 and each SVG panel's circles through :func:`pitchmbc.ingest.format_rows`,
-which fills a ``%`` template for a block of points in one call.
+which fills a ``%`` template for a block of points in one call. The SVG
+text is made a part at a time, so :func:`write_projection_svg` never holds
+it whole.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ingest import format_rows, write_csv_columns
+from .ingest import _text_out, format_rows, write_csv_columns
 from .labeling import PitchType
 
 BASE_COLORS: dict[PitchType, str] = {
@@ -60,12 +63,73 @@ def write_plot_csv(dest, X: np.ndarray, types: Sequence[PitchType],
                       [*np.asarray(X, dtype=np.float64).T, types, colors])
 
 
-def _axis_range(values: np.ndarray) -> tuple[float, float]:
+def _axis(values: np.ndarray, size: int) -> tuple[float, float]:
+    """(low end, pixels per unit) of an axis of ``size`` pixels over
+    ``values``: their range, or ±1 about a constant, padded by 5% a side.
+    Where that rounds to no width, or to one too narrow to divide ``size``
+    by (a constant of magnitude 2**53 or more, a span of a few subnormals),
+    the axis is ±1.1, or ±1.1 ulp where an ulp is wider, about its middle."""
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if hi - lo == 0.0 or size / (hi - lo) == math.inf:
+        mid = lo + (hi - lo) / 2
+        half = 1.1 * max(1.0, math.ulp(mid))
+        lo, hi = mid - half, mid + half
+    return lo, size / (hi - lo)
+
+
+def _svg_parts(X: np.ndarray, point_colors: Sequence[str],
+               legend: Sequence[tuple[str, str]]) -> Iterator[str]:
+    """The newline-terminated parts of :func:`projection_svg`'s text, in
+    order. Raises ValueError here, before any part is made, when the colors
+    and points differ in number."""
+    n = X.shape[0] if X.size else 0
+    if len(point_colors) != n:
+        raise ValueError(f"{len(point_colors)} colors for {n} points")
+    return _svg_lines(X, point_colors, legend, n)
+
+
+def _svg_lines(X, point_colors, legend, n) -> Iterator[str]:
+    """The parts :func:`_svg_parts` returns, for ``n`` checked points."""
+    panel, margin, gap = 300, 48, 26
+    width = 3 * (panel + 2 * margin) + 2 * gap
+    legend_height = 30 if legend else 0
+    height = panel + 2 * margin + legend_height
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n')
+    yield f'<rect width="{width}" height="{height}" fill="white"/>\n'
+    tail = {color: f' r="3" fill="{color}" fill-opacity="0.65"/>' for color in set(point_colors)}
+    tails = list(map(tail.__getitem__, point_colors))
+    for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
+        ox = p * (panel + 2 * margin + gap) + margin
+        oy = margin
+        yield (f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
+               f'fill="none" stroke="#444" stroke-width="1"/>\n')
+        yield (f'<text x="{ox + panel / 2:.1f}" y="{oy + panel + 34}" text-anchor="middle" '
+               f'font-size="13" font-family="sans-serif">{xlabel}</text>\n')
+        yield (f'<text x="{ox - 32}" y="{oy + panel / 2:.1f}" text-anchor="middle" '
+               f'font-size="13" font-family="sans-serif" '
+               f'transform="rotate(-90 {ox - 32} {oy + panel / 2:.1f})">{ylabel}</text>\n')
+        if not n:
+            continue
+        x_lo, x_scale = _axis(X[:, ix], panel)
+        y_lo, y_scale = _axis(X[:, iy], panel)
+        cx = ox + (X[:, ix] - x_lo) * x_scale
+        cy = oy + panel - (X[:, iy] - y_lo) * y_scale
+        yield from format_rows('<circle cx="%.2f" cy="%.2f"%s\n',
+                               zip(cx.tolist(), cy.tolist(), tails))
+    if legend:
+        lx = margin
+        ly = panel + 2 * margin + 12
+        for label, color in legend:
+            yield f'<circle cx="{lx}" cy="{ly - 4}" r="5" fill="{color}"/>\n'
+            yield (f'<text x="{lx + 10}" y="{ly}" font-size="13" '
+                   f'font-family="sans-serif">{label}</text>\n')
+            lx += 12 * len(label) + 46
+    yield "</svg>\n"
 
 
 def projection_svg(X: np.ndarray, point_colors: Sequence[str],
@@ -75,51 +139,15 @@ def projection_svg(X: np.ndarray, point_colors: Sequence[str],
     ``legend`` is (label, color) pairs rendered once under the panels.
     Coordinates are rounded to fixed precision so output is byte-stable.
     """
-    panel, margin, gap = 300, 48, 26
-    width = 3 * (panel + 2 * margin) + 2 * gap
-    legend_height = 30 if legend else 0
-    height = panel + 2 * margin + legend_height
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n',
-        f'<rect width="{width}" height="{height}" fill="white"/>\n',
-    ]
-    n = X.shape[0] if X.size else 0
-    if len(point_colors) != n:
-        raise ValueError(f"{len(point_colors)} colors for {n} points")
-    tail = {color: f' r="3" fill="{color}" fill-opacity="0.65"/>' for color in set(point_colors)}
-    tails = list(map(tail.__getitem__, point_colors))
-    for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
-        ox = p * (panel + 2 * margin + gap) + margin
-        oy = margin
-        parts.append(
-            f'<rect x="{ox}" y="{oy}" width="{panel}" height="{panel}" '
-            f'fill="none" stroke="#444" stroke-width="1"/>\n'
-        )
-        parts.append(
-            f'<text x="{ox + panel / 2:.1f}" y="{oy + panel + 34}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{xlabel}</text>\n'
-        )
-        parts.append(
-            f'<text x="{ox - 32}" y="{oy + panel / 2:.1f}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif" '
-            f'transform="rotate(-90 {ox - 32} {oy + panel / 2:.1f})">{ylabel}</text>\n'
-        )
-        if not n:
-            continue
-        x_lo, x_hi = _axis_range(X[:, ix])
-        y_lo, y_hi = _axis_range(X[:, iy])
-        cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
-        cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
-        parts += format_rows('<circle cx="%.2f" cy="%.2f"%s\n',
-                             zip(cx.tolist(), cy.tolist(), tails))
-    if legend:
-        lx = margin
-        ly = panel + 2 * margin + 12
-        for label, color in legend:
-            parts.append(f'<circle cx="{lx}" cy="{ly - 4}" r="5" fill="{color}"/>\n')
-            parts.append(f'<text x="{lx + 10}" y="{ly}" font-size="13" '
-                         f'font-family="sans-serif">{label}</text>\n')
-            lx += 12 * len(label) + 46
-    parts.append("</svg>\n")
-    return "".join(parts)
+    return "".join(_svg_parts(X, point_colors, legend))
+
+
+def write_projection_svg(dest, X: np.ndarray, point_colors: Sequence[str],
+                         legend: Sequence[tuple[str, str]] = ()) -> None:
+    """Write :func:`projection_svg`'s text a part at a time, so that it is
+    never held whole, to ``dest``: a path, written as UTF-8, or an open text
+    stream (see :func:`pitchmbc.ingest.write_csv_columns`). The arguments
+    are checked before a path is opened, so a bad call leaves no file."""
+    parts = _svg_parts(X, point_colors, legend)
+    with _text_out(dest) as fh:
+        fh.writelines(parts)

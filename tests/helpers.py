@@ -33,7 +33,7 @@ from pitchmbc.errors import (EmptyCluster, EmptyDataset, MalformedRow, MissingCo
 from pitchmbc.ingest import OPTIONAL_FIELDS, REQUIRED_FIELDS, PitchRecord
 from pitchmbc.mixture import (EmConfig, FittedMixture, MixtureComponent, _build_components,
                               _e_stack, _features, _m_stack, _seed_resp, _standardize)
-from pitchmbc.plotting import PANELS, _axis_range
+from pitchmbc.plotting import PANELS, _axis
 
 
 def child_env(**extra: str) -> dict:
@@ -387,10 +387,10 @@ def reference_projection_svg(X, point_colors, legend=()) -> str:
         )
         if not n:
             continue
-        x_lo, x_hi = _axis_range(X[:, ix])
-        y_lo, y_hi = _axis_range(X[:, iy])
-        cx = ox + (X[:, ix] - x_lo) * (panel / (x_hi - x_lo))
-        cy = oy + panel - (X[:, iy] - y_lo) * (panel / (y_hi - y_lo))
+        x_lo, x_scale = _axis(X[:, ix], panel)
+        y_lo, y_scale = _axis(X[:, iy], panel)
+        cx = ox + (X[:, ix] - x_lo) * x_scale
+        cy = oy + panel - (X[:, iy] - y_lo) * y_scale
         for x, y, color in zip(cx.tolist(), cy.tolist(), point_colors):
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" '
                          f'fill-opacity="0.65"/>')

@@ -232,6 +232,33 @@ def test_archive_field_of_the_wrong_json_type_is_archive_error(tmp_path, fitted_
     assert "malformed archive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,doctor", [
+    ("anchor_index", str),
+    ("penalty_scale", str),
+    ("ll_trace", lambda trace: trace[:-1] + [str(trace[-1])]),
+    ("selection_failures", lambda failures: [["2", "every restart degenerate"]]),
+    ("anchor_index", lambda v: v + 0.0),
+    ("penalty_scale", lambda v: True),
+], ids=["anchor-string", "penalty-string", "ll-trace-string", "failure-k-string",
+        "anchor-float", "penalty-bool"])
+def test_archive_value_outside_the_records_of_the_wrong_json_type_is_archive_error(
+        tmp_path, fitted_model, pitcher_csv, capsys, key, doctor):
+    """These were coerced by int() and float(), so a re-save changed the bytes."""
+    doc = json.loads(fitted_model.read_text())
+    if key == "ll_trace":
+        doc["fit"][key] = doctor(doc["fit"][key])
+    else:
+        doc[key] = doctor(doc[key])
+    model = tmp_path / "doctored.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match="not a JSON (int|float)"):
+        load_archive(model)
+    code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 6
+    assert "malformed archive" in capsys.readouterr().err
+
+
 def test_stability_command(pitcher_csv, tmp_path, capsys):
     out = tmp_path / "stability.csv"
     code = main(["stability", "--input", str(pitcher_csv), "--k", "5",
@@ -474,6 +501,21 @@ def test_oversized_cell_is_validation_error(fitted_model, tmp_path, capsys, comm
     assert code == 4
     assert capsys.readouterr().err.startswith("error: row 3: field larger than field limit")
     assert [p.name for p in tmp_path.iterdir()] == ["huge_cell.csv"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_utf8_byte_is_validation_error_naming_its_line(fitted_model, tmp_path, capsys,
+                                                           command):
+    path = tmp_path / "latin1.csv"
+    write_pitch_csv(archetype_pitcher(120, seed=3)[0], path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    code = main([command, "--input", str(path)]
+                + _command_args(command, fitted_model, tmp_path / "out"))
+    assert code == 4
+    assert capsys.readouterr().err == "error: row 3: not UTF-8 (invalid start byte)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.csv"]
 
 
 def _flag_or_config(tmp_path, source, section, key, value):

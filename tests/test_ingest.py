@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_parse
-from pitchmbc.errors import EmptyDataset, MissingColumn
+from pitchmbc import ingest
+from pitchmbc.errors import EmptyDataset, MalformedRow, MissingColumn
 from pitchmbc.ingest import (ColumnSchema, DEFAULT_SCHEMA, PitchDataset, PitchRecord,
                              filter_pitches, parse_pitch_csv, serialize_pitch_csv,
                              write_pitch_csv)
@@ -347,6 +349,63 @@ def test_byte_order_mark_is_not_part_of_the_header(kind, tmp_path):
     ds = parse_pitch_csv(source)
     assert ds.pitchers == ("zito",)
     assert ds.to_matrix().tolist() == [[88.5, 100.0, -40.0]]
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes"])
+def test_non_utf8_byte_names_its_physical_line(kind, tmp_path):
+    raw = (SHORT_HEADER + '\na,90,1,2\nb\xff,91,1,2\nc,92,1,2\n').encode("latin-1")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedRow) as err:
+        parse_pitch_csv(path if kind == "path" else io.BytesIO(raw))
+    assert err.value.row_number == 3
+    assert str(err.value) == "row 3: not UTF-8 (invalid start byte)"
+
+
+def physical_line(text: str, offset: int) -> int:
+    """The line, from 1, on which character ``offset`` of ``text`` stands."""
+    return 1 + sum(line.endswith(("\r", "\n")) for line in io.StringIO(text[:offset], newline=""))
+
+
+# what straddles a read: quotes, multi-byte characters, each line end
+CHUNKY = st.text(st.sampled_from(list('a1.,"\r\n é⚾')), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHUNKY, st.data(), st.integers(1, 9), st.booleans())
+def test_non_utf8_byte_is_named_by_its_line_whatever_the_reads(body, data, read_bytes, bom):
+    text = SHORT_HEADER + "\n" + body
+    at = data.draw(st.integers(0, len(text)))
+    raw = ("\ufeff" if bom else "").encode() + text[:at].encode() + b"\xfe" + text[at:].encode()
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes), pytest.raises(MalformedRow) as err:
+        parse_pitch_csv(io.BytesIO(raw))
+    assert err.value.row_number == physical_line(text, at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pitch_files(), st.integers(1, 9), st.booleans())
+def test_byte_stream_parses_as_its_text_whatever_the_reads(file, read_bytes, bom):
+    text, schema = file
+    raw = ("\ufeff" if bom else "").encode() + text.encode()
+    with mock.patch.object(ingest, "READ_BYTES", read_bytes):
+        got = _parse_outcome(lambda: parse_pitch_csv(io.BytesIO(raw), schema))
+    want = _parse_outcome(lambda: parse_pitch_csv(io.StringIO(text), schema))
+    assert got == want
+    if got[0] is not None:
+        assert got[0].rejected == want[0].rejected
+
+
+def test_equal_text_cells_share_one_str(tmp_path):
+    path = tmp_path / "season.csv"
+    path.write_text(HEADER + "\n" + "".join(
+        f"{pid},{season},90,1,2,{label},0\n"
+        for pid, season, label in [("p1", "2010", "FF"), (" p1", "2010 ", "FF"),
+                                   ("p1 ", "2010", " FF "), ("p2", "", "")]))
+    ds = parse_pitch_csv(path)
+    assert ds.pitchers == ("p1",) * 3 + ("p2",)
+    assert len({id(v) for v in ds.pitchers[:3]}) == 1
+    assert len({id(v) for v in ds.seasons[:3]}) == 1
+    assert len({id(v) for v in ds.reference_labels[:3]}) == 1
 
 
 def test_dataset_columns_and_records_agree():

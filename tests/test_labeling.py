@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 
 from cascade_cases import CASCADE_CASES
 from helpers import make_component, make_fit, reference_cascade
-from pitchmbc.labeling import (LabelConfig, PitchType, classify_dataset,
+from pitchmbc.ingest import parse_pitch_csv, write_pitch_csv
+from pitchmbc.labeling import (CLASSIFY_ROWS, LabelConfig, PitchType, classify_dataset,
                                classify_pitch, confusion_counts, format_confusion,
                                label_clusters, write_labeled_csv)
-from pitchmbc.mixture import EmConfig, fit_em
-from pitchmbc.synth import gaussian_blobs
+from pitchmbc.mixture import EmConfig, e_step, fit_em
+from pitchmbc.synth import archetype_pitcher, gaussian_blobs
 
 
 def build_fit(spec_rows):
@@ -154,6 +157,45 @@ def test_classify_synthetic_holdout_matches_generator():
     agree = np.mean([types[i] is expect[g] for i, g in enumerate(hy)])
     assert agree >= 0.99
     assert pmax.min() > 0.5
+
+
+@pytest.fixture(scope="module")
+def season_model():
+    train, _, _ = archetype_pitcher(600, seed=21)
+    return label_clusters(fit_em(train, 5, EmConfig(seed=21, restarts=2)))
+
+
+@pytest.mark.parametrize("n", [CLASSIFY_ROWS - 1, CLASSIFY_ROWS, CLASSIFY_ROWS + 1,
+                               2 * CLASSIFY_ROWS + 1])
+def test_classify_in_blocks_has_the_bits_of_one_e_step(season_model, n):
+    """Around each block edge, and with a last block of one row."""
+    X = archetype_pitcher(n, seed=n)[0].to_matrix()
+    idx, types, pmax = classify_dataset(season_model, X)
+    resp, _ = e_step(season_model.fit.components, X)
+    best = np.argmax(resp, axis=1)
+    assert idx.tolist() == best.tolist()
+    assert pmax.tobytes() == resp[np.arange(n), best].tobytes()
+    assert types == [season_model.labels[i] for i in best.tolist()]
+
+
+@pytest.mark.parametrize("n", [16_000, 64_000])
+def test_parse_and_classify_peak_is_a_small_multiple_of_the_dataset(tmp_path, season_model, n):
+    """The traced peak of parsing a file and classifying it is set by the
+    dataset kept, not by copies of the file's text: a few times the dataset
+    at both sizes, and the dataset holds the numbers and one pointer a text
+    cell (each distinct value is one str)."""
+    path = tmp_path / "season.csv"
+    write_pitch_csv(archetype_pitcher(n, seed=5)[0], path)
+    tracemalloc.start()
+    try:
+        dataset = parse_pitch_csv(path)
+        retained = tracemalloc.get_traced_memory()[0]
+        classify_dataset(season_model, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * n  # 24 bytes of numbers, 3 pointers, a flag
+    assert peak < 4 * retained
 
 
 def test_confusion_counts_and_rendering():

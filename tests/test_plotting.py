@@ -1,10 +1,12 @@
 import io
 
 import numpy as np
+import pytest
 
 from pitchmbc.labeling import PitchType
 from pitchmbc.plotting import (BASE_COLORS, CURVEBALL_COLORS, INTENTIONAL_COLOR,
-                               cluster_colors, projection_svg, write_plot_csv)
+                               cluster_colors, projection_svg, write_plot_csv,
+                               write_projection_svg)
 
 
 def test_palette_matches_convention():
@@ -64,3 +66,13 @@ def test_svg_empty_input():
     svg = projection_svg(np.empty((0, 3)), [])
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     assert "<circle" not in svg
+
+
+def test_svg_with_a_color_missing_raises_before_writing(tmp_path):
+    X = np.array([[90.0, 1.0, 2.0], [80.0, 3.0, 4.0]])
+    with pytest.raises(ValueError, match="1 colors for 2 points"):
+        projection_svg(X, ["red"])
+    svg = tmp_path / "projections.svg"
+    with pytest.raises(ValueError, match="1 colors for 2 points"):
+        write_projection_svg(svg, X, ["red"])
+    assert not svg.exists()

@@ -1,5 +1,6 @@
 """Each experiment script runs end to end, in-process, on tiny arguments."""
 
+import re
 import runpy
 import shutil
 import sys
@@ -73,7 +74,10 @@ def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == ["round 1 (A first)", "round 2 (B first)"]
     assert lines[2].startswith("B faster in ") and "/2 rounds; median CPU A " in lines[2]
-    assert lines[3:] == ["outputs byte-identical in every round"]
+    for side, line in zip("AB", lines[3:5]):
+        assert re.fullmatch(rf"tracemalloc peak {side}: fit [0-9.]+ MB; stability [0-9.]+ MB",
+                            line)
+    assert lines[5:] == ["outputs byte-identical in every round"]
 
 
 def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 Reference labels, pitch-type names and colors are public inputs, so the
 strategies below draw text full of what ``csv.writer`` has to quote, and
-floats at the edges of ``repr`` and ``:.2f``. Each CSV writer is checked
+floats at the edges of ``repr`` and ``:.2f``. Each file writer is checked
 with a text-stream and with a path destination.
 """
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from helpers import reference_labeled_csv, reference_plot_csv, reference_projection_svg
 from pitchmbc.ingest import ROWS_PER_CALL
 from pitchmbc.labeling import PitchType, write_labeled_csv
-from pitchmbc.plotting import projection_svg, write_plot_csv
+from pitchmbc.plotting import projection_svg, write_plot_csv, write_projection_svg
 
 EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2)
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
@@ -42,19 +44,19 @@ def written(write, tmp_path) -> str:
     return buf.getvalue()
 
 
-def assert_same_svg(X, colors, legend):
-    """``projection_svg`` gives the oracle's text, or raises where it raises (a
-    constant column of magnitude 2**53 or more leaves a zero-width axis).
-    numpy's warnings are off: a subnormal axis width makes the scale infinite
-    and the coordinates NaN, and both sides must still agree on the text."""
-    with np.errstate(all="ignore"):
-        try:
-            want = reference_projection_svg(X, colors, legend)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                projection_svg(X, colors, legend)
-            return
-        assert projection_svg(X, colors, legend) == want
+def svg_coordinates(svg: str) -> list[float]:
+    return [float(v) for v in re.findall(r' c[xy]="([^"]*)"', svg)]
+
+
+def assert_same_svg(X, colors, legend, tmp_path):
+    """``projection_svg``, and ``write_projection_svg`` to a stream and to a
+    path, give the oracle's text, whose every circle coordinate is finite
+    (a constant column of magnitude 2**53 or more, or a span of subnormals,
+    once gave a zero or an infinite scale)."""
+    want = reference_projection_svg(X, colors, legend)
+    assert projection_svg(X, colors, legend) == want
+    assert written(lambda d: write_projection_svg(d, X, colors, legend), tmp_path) == want
+    assert all(map(math.isfinite, svg_coordinates(want)))
 
 
 def labeled_rows(n):
@@ -103,9 +105,21 @@ def test_plot_csv_matches_oracle(tmp_path, rows):
 @example(([], [], []), [])
 @example(([(5e-324, 1e-7, -0.0)], [PitchType.SINKER], ["%s"]), [("50%", "%d")])
 @example(([(-0.0, -0.0, -0.0), (5e-324, -0.0, -0.0)], [PitchType.SLIDER] * 2, ["", ""]), [])
-def test_projection_svg_matches_oracle(rows, legend):
+def test_projection_svg_matches_oracle(tmp_path, rows, legend):
     points, _, colors = rows
-    assert_same_svg(np.array(points, dtype=np.float64).reshape(-1, 3), colors, legend)
+    assert_same_svg(np.array(points, dtype=np.float64).reshape(-1, 3), colors, legend, tmp_path)
+
+
+@pytest.mark.parametrize("column", [[1e16], [-(2.0 ** 54)] * 2, [1e300] * 3, [0.0, 5e-324],
+                                    [5e-324, 1e-323, 5e-324], [2.0 ** -1022, 2.0 ** -1021]])
+def test_degenerate_axes_center_their_points(tmp_path, column):
+    """An axis over a constant column, or a span too narrow to scale, is
+    widened about its middle, so every point lands at the panel's center."""
+    X = np.array([(90.0, value, 1.0) for value in column])
+    colors = ["red"] * len(X)
+    assert_same_svg(X, colors, [], tmp_path)
+    back_spin = svg_coordinates(projection_svg(X, colors))[1::2][:len(X)]  # panel 1's cy
+    assert back_spin == [48 + 150.0] * len(X)
 
 
 @pytest.mark.parametrize("seed,n", [(0, ROWS_PER_CALL), (1, 3000)])
@@ -124,4 +138,4 @@ def test_many_rows_match_oracles(tmp_path, seed, n):
             == reference_labeled_csv(indices, types, pmax, refs))
     assert (written(lambda d: write_plot_csv(d, X, types, texts), tmp_path)
             == reference_plot_csv(X, types, texts))
-    assert_same_svg(X, texts, [("FF", "red")])
+    assert_same_svg(X, texts, [("FF", "red")], tmp_path)
