@@ -14,8 +14,10 @@ Each tree is a checkout holding ``src/pitchmbc``. One untimed warm-up round
 runs first. BLAS is pinned to one thread when this script is the first to
 import numpy, as it is when run as a program. It prints each round's CPU
 time (``time.process_time``) of both trees, then how many rounds B won,
-the median times and the median A/B ratio. It exits 1 when the trees'
-exit codes or output files differ in any round.
+the median times and the median A/B ratio. One more untimed round then
+runs each command alone under ``tracemalloc`` and prints each tree's traced
+peak per command. It exits 1 when the trees' exit codes or output files
+differ in any round.
 """
 
 import os
@@ -34,6 +36,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -61,6 +64,24 @@ def run(cli, commands: list[str], out: Path) -> tuple[float, list[int]]:
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         codes = [cli.main(argv) for argv in argvs]
     return time.process_time() - start, codes
+
+
+def traced_peaks(cli, commands: list[str], out: Path) -> list[float]:
+    """The tracemalloc peak, in MB, of each of ``commands`` run alone through
+    ``cli.main``."""
+    peaks = []
+    sink = io.StringIO()
+    for cmd in commands:
+        argv = shlex.split(cmd.replace("{out}", str(out)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                cli.main(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def differences(a: Path, b: Path) -> list[str]:
@@ -111,6 +132,13 @@ def main():
     print(f"B faster in {wins}/{args.rounds} rounds; median CPU A "
           f"{statistics.median(times['A']):.3f} s, B {statistics.median(times['B']):.3f} s; "
           f"median A/B {statistics.median(ratios):.3f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in "AB":
+            out = Path(tmp) / side
+            out.mkdir()
+            peaks = traced_peaks(clis[side], args.cmd, out)
+            print(f"tracemalloc peak {side}: " + "; ".join(
+                f"{cmd.split()[0]} {peak:.2f} MB" for cmd, peak in zip(args.cmd, peaks)))
     if failed:
         sys.exit("outputs differ between the trees")
     print("outputs byte-identical in every round")
