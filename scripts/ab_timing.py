@@ -16,8 +16,11 @@ import numpy, as it is when run as a program. It prints each round's CPU
 time (``time.process_time``) of both trees, then how many rounds B won,
 the median times and the median A/B ratio. One more untimed round then
 runs each command alone under ``tracemalloc`` and prints each tree's traced
-peak per command. It exits 1 when the trees' exit codes or output files
-differ in any round.
+peak per command. Last it prints, per tree and command, the growth of
+``ru_maxrss`` (read as KiB, as Linux reports it) over one run of the
+command in a fresh child process, started before any round; unlike the
+traced peak, it includes heap fragmentation. It exits 1 when the trees'
+exit codes or output files differ in any round.
 """
 
 import os
@@ -33,6 +36,7 @@ import importlib.util
 import io
 import shlex
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -84,6 +88,33 @@ def traced_peaks(cli, commands: list[str], out: Path) -> list[float]:
     return peaks
 
 
+# Run in a fresh interpreter: argv[1] is a tree's src directory, the rest
+# one pitchmbc command line; prints the KiB ru_maxrss grew while it ran.
+CHILD = """
+import contextlib, io, resource, sys
+sys.path.insert(0, sys.argv[1])
+from pitchmbc import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(sys.argv[2:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def rss_growths(tree: Path, commands: list[str], out: Path) -> list[float]:
+    """The ``ru_maxrss`` growth, in MB, of a fresh child process over one
+    run of each of ``commands`` through ``tree``'s ``cli.main``."""
+    growths = []
+    for i, cmd in enumerate(commands):
+        cmd_out = out / str(i)
+        cmd_out.mkdir()
+        argv = shlex.split(cmd.replace("{out}", str(cmd_out)))
+        child = subprocess.run([sys.executable, "-c", CHILD, str(tree / "src"), *argv],
+                               check=True, capture_output=True, text=True)
+        growths.append(int(child.stdout) / 1024)
+    return growths
+
+
 def differences(a: Path, b: Path) -> list[str]:
     """Relative paths of the files that are not byte-identical under ``a`` and ``b``."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
@@ -105,6 +136,12 @@ def main():
     if args.rounds < 1:
         sys.exit("--rounds must be >= 1")
 
+    # Linux starts a child's ru_maxrss at its parent's resident size, so the
+    # children run while this process is still small, before it imports a tree
+    growths = {}
+    for side, tree in zip("AB", (args.tree_a, args.tree_b)):
+        with tempfile.TemporaryDirectory() as tmp:
+            growths[side] = rss_growths(tree, args.cmd, Path(tmp))
     clis = {"A": load_cli(args.tree_a, "_ab_tree_a"), "B": load_cli(args.tree_b, "_ab_tree_b")}
     times: dict[str, list[float]] = {"A": [], "B": []}
     failed = False
@@ -139,6 +176,9 @@ def main():
             peaks = traced_peaks(clis[side], args.cmd, out)
             print(f"tracemalloc peak {side}: " + "; ".join(
                 f"{cmd.split()[0]} {peak:.2f} MB" for cmd, peak in zip(args.cmd, peaks)))
+    for side in "AB":
+        print(f"ru_maxrss growth {side}: " + "; ".join(
+            f"{cmd.split()[0]} {growth:.2f} MB" for cmd, growth in zip(args.cmd, growths[side])))
     if failed:
         sys.exit("outputs differ between the trees")
     print("outputs byte-identical in every round")

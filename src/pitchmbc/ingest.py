@@ -16,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -97,28 +97,43 @@ class PitchDataset:
         records = tuple(records)
         X = np.array([(r.start_speed, r.back_spin, r.side_spin) for r in records],
                      dtype=np.float64).reshape(len(records), 3)
-        self._assign(X, [r.pitcher_id for r in records], [r.season or "" for r in records],
-                     [r.reference_label or "" for r in records],
-                     [bool(r.is_intentional_ball) for r in records], rejected, removed_intentional)
+        self._assign(X, tuple(r.pitcher_id for r in records),
+                     tuple(r.season or "" for r in records),
+                     tuple(r.reference_label or "" for r in records),
+                     np.array([bool(r.is_intentional_ball) for r in records], dtype=bool),
+                     rejected, removed_intentional)
 
     @classmethod
     def from_columns(cls, X, pitchers, seasons=None, reference_labels=None, intentional=None,
                      rejected=(), removed_intentional: int = 0) -> "PitchDataset":
         """A dataset of the rows of ``X``; absent string columns are all "",
-        an absent ``intentional`` all False. ``X`` is copied."""
+        an absent ``intentional`` all False. ``X`` and ``intentional`` are
+        copied."""
         n = len(pitchers)
+        return cls._owning(np.array(X, dtype=np.float64), tuple(pitchers),
+                           ("",) * n if seasons is None else tuple(seasons),
+                           ("",) * n if reference_labels is None else tuple(reference_labels),
+                           np.zeros(n, dtype=bool) if intentional is None
+                           else np.array(intentional, dtype=bool),
+                           rejected, removed_intentional)
+
+    @classmethod
+    def _owning(cls, X: np.ndarray, pitchers: tuple, seasons: tuple, reference_labels: tuple,
+                intentional: np.ndarray, rejected=(), removed_intentional: int = 0
+                ) -> "PitchDataset":
+        """A dataset that keeps the arrays and tuples it is given, without
+        copies, and makes the arrays read-only: for arrays that no one else
+        holds, such as a parse's or an index operation's."""
         dataset = cls.__new__(cls)
-        dataset._assign(X, pitchers, ("",) * n if seasons is None else seasons,
-                        ("",) * n if reference_labels is None else reference_labels,
-                        np.zeros(n, dtype=bool) if intentional is None else intentional,
-                        rejected, removed_intentional)
+        dataset._assign(X, pitchers, seasons, reference_labels, intentional, rejected,
+                        removed_intentional)
         return dataset
 
     def _assign(self, X, pitchers, seasons, reference_labels, intentional, rejected,
                 removed_intentional) -> None:
-        X = np.array(X, dtype=np.float64)
-        intentional = np.array(intentional, dtype=bool)
-        columns = (tuple(pitchers), tuple(seasons), tuple(reference_labels))
+        X = np.asarray(X, dtype=np.float64)
+        intentional = np.asarray(intentional, dtype=bool)
+        columns = (pitchers, seasons, reference_labels)
         n = len(columns[0])
         if X.shape != (n, 3) or {len(c) for c in columns} != {n} or intentional.shape != (n,):
             raise ValueError(f"columns of unequal length: matrix {X.shape}, "
@@ -188,13 +203,13 @@ class PitchDataset:
         """(n, 3) float array of (start_speed, back_spin, side_spin), read-only."""
         return self._X
 
-    def _take(self, rows: np.ndarray, rejected=(), removed_intentional: int = 0) -> "PitchDataset":
+    def _take(self, rows: np.ndarray) -> "PitchDataset":
         """The dataset of the rows at the indices ``rows``, in that order."""
         pick = rows.tolist()
-        return PitchDataset.from_columns(
-            self._X[rows], *([col[i] for i in pick]
+        return PitchDataset._owning(
+            self._X[rows], *(tuple([col[i] for i in pick])
                              for col in (self.pitchers, self.seasons, self.reference_labels)),
-            self.intentional[rows], rejected, removed_intentional)
+            self.intentional[rows])
 
 
 # Rows parsed into Python floats before they are packed into an array, so
@@ -330,15 +345,16 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
             # to the first str of its stripped value, which every row holding
             # that value shares; a new cell takes the per-cell path below
             text: dict[str, str] = {}
-            blocks: list[np.ndarray] = []  # the numbers of each run of PARSE_ROWS rows
+            # the numbers and the intentional flags of each run of PARSE_ROWS rows
+            blocks: list[np.ndarray] = []
+            flag_blocks: list[np.ndarray] = []
             pitchers: list[str] = []
             seasons: list[str] = []
             labels: list[str] = []
-            flags: list[bool] = []
             rejected: list[tuple[int, str]] = []
             next_line = reader.line_num + 1
             while True:  # until a run reads no line
-                first_line, values = next_line, []
+                first_line, values, flags = next_line, [], []
                 for row in islice(reader, PARSE_ROWS):
                     line_no, next_line = next_line, reader.line_num + 1
                     try:  # a well-formed row of known text; any other takes the path below
@@ -371,6 +387,7 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
                     labels.append(label)
                     flags.append(flag)
                 blocks.append(np.array(values, dtype=np.float64))
+                flag_blocks.append(np.array(flags, dtype=bool))
                 if next_line == first_line:
                     break
         except csv.Error as exc:  # a cell over the csv module's field size limit, say
@@ -384,8 +401,10 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
         raise EmptyDataset(
             f"no valid rows ({len(rejected)} malformed)", rejected=rejected
         )
-    return PitchDataset.from_columns(np.concatenate(blocks).reshape(-1, 3),
-                                     pitchers, seasons, labels, flags, rejected=rejected)
+    X = np.concatenate(blocks).reshape(-1, 3)
+    del blocks  # before the string columns become tuples
+    return PitchDataset._owning(X, tuple(pitchers), tuple(seasons), tuple(labels),
+                                np.concatenate(flag_blocks), rejected)
 
 
 @contextmanager
@@ -430,6 +449,13 @@ def format_rows(row: str, rows) -> Iterator[str]:
         yield row * len(block) % tuple(chain.from_iterable(block))
 
 
+def tolist_blocks(column: np.ndarray) -> Iterator:
+    """The values of the numpy ``column`` as Python objects, converted
+    ``ROWS_PER_CALL`` at a time, so that they are never all held at once."""
+    return chain.from_iterable(column[start:start + ROWS_PER_CALL].tolist()
+                               for start in range(0, len(column), ROWS_PER_CALL))
+
+
 def _csv_cells(values) -> dict:
     """Each distinct cell of ``values`` as ``csv.writer`` writes it after
     another cell of its row (alone, an empty cell would be quoted)."""
@@ -446,9 +472,10 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     equal-length ``columns`` (two or more), with ``\\n`` line ends.
 
     A numpy array column is written by the ``repr`` of each value, so floats
-    round-trip. Every other column holds hashable cells written exactly as
-    ``csv.writer`` writes them, quoting included, which is worked out once
-    per distinct cell. The rows are formatted by :func:`format_rows`.
+    round-trip, and becomes Python numbers a block of rows at a time
+    (:func:`tolist_blocks`). Every other column holds hashable cells written
+    exactly as ``csv.writer`` writes them, quoting included, which is worked
+    out once per distinct cell. The rows are formatted by :func:`format_rows`.
     ``dest`` is a path or an open text stream, as for :func:`csv_rows`,
     which would write the same bytes given each number's ``repr``.
     """
@@ -456,7 +483,7 @@ def write_csv_columns(dest, header: Sequence[str], columns: Sequence) -> None:
     if len(lengths) < 2 or len(set(lengths)) != 1:
         raise ValueError(f"need two or more columns of equal length, got lengths {lengths}")
     numeric = [isinstance(col, np.ndarray) for col in columns]
-    cells = [col.tolist() if is_num else map(_csv_cells(col).__getitem__, col)
+    cells = [tolist_blocks(col) if is_num else map(_csv_cells(col).__getitem__, col)
              for col, is_num in zip(columns, numeric)]
     row = ",".join("%r" if is_num else "%s" for is_num in numeric) + "\n"
     with _text_out(dest) as fh:
@@ -495,7 +522,13 @@ def filter_pitches(dataset: PitchDataset) -> PitchDataset:
     Raises :class:`EmptyDataset` when every record was intentional.
     Idempotent: filtering an already-filtered dataset changes nothing.
     """
-    kept = np.flatnonzero(~dataset.intentional)
-    if not kept.size:
+    keep = ~dataset.intentional
+    kept = int(np.count_nonzero(keep))
+    if not kept:
         raise EmptyDataset(f"all {dataset.n} records are intentional balls")
-    return dataset._take(kept, dataset.rejected, dataset.n - kept.size)
+    selectors = keep.tobytes()  # one byte a row, 1 where the row is kept
+    return PitchDataset._owning(
+        dataset.to_matrix()[keep],
+        *(tuple(compress(col, selectors))
+          for col in (dataset.pitchers, dataset.seasons, dataset.reference_labels)),
+        np.zeros(kept, dtype=bool), dataset.rejected, dataset.n - kept)

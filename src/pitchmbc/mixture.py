@@ -89,8 +89,9 @@ class EmConfig:
 
     def __post_init__(self):
         for name, low in (("seed", 0), ("restarts", 1), ("max_iter", 1), ("tol", 0), ("ridge", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+            if not low <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= {low} and finite, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)

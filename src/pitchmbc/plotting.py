@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ingest import _text_out, format_rows, write_csv_columns
+from .ingest import _text_out, format_rows, tolist_blocks, write_csv_columns
 from .labeling import PitchType
 
 BASE_COLORS: dict[PitchType, str] = {
@@ -102,7 +102,6 @@ def _svg_lines(X, point_colors, legend, n) -> Iterator[str]:
            f'viewBox="0 0 {width} {height}">\n')
     yield f'<rect width="{width}" height="{height}" fill="white"/>\n'
     tail = {color: f' r="3" fill="{color}" fill-opacity="0.65"/>' for color in set(point_colors)}
-    tails = list(map(tail.__getitem__, point_colors))
     for p, (ix, iy, xlabel, ylabel) in enumerate(PANELS):
         ox = p * (panel + 2 * margin + gap) + margin
         oy = margin
@@ -120,7 +119,8 @@ def _svg_lines(X, point_colors, legend, n) -> Iterator[str]:
         cx = ox + (X[:, ix] - x_lo) * x_scale
         cy = oy + panel - (X[:, iy] - y_lo) * y_scale
         yield from format_rows('<circle cx="%.2f" cy="%.2f"%s\n',
-                               zip(cx.tolist(), cy.tolist(), tails))
+                               zip(tolist_blocks(cx), tolist_blocks(cy),
+                                   map(tail.__getitem__, point_colors)))
     if legend:
         lx = margin
         ly = panel + 2 * margin + 12

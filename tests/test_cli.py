@@ -528,7 +528,8 @@ def _flag_or_config(tmp_path, source, section, key, value):
 
 
 BAD_EM_VALUES = [("seed", -1), ("restarts", 0), ("restarts", -2), ("max_iter", 0),
-                 ("tol", -1.0), ("tol", float("nan")), ("ridge", -1.0)]
+                 ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")), ("ridge", -1.0),
+                 ("ridge", float("inf"))]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

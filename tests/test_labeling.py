@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from cascade_cases import CASCADE_CASES
 from helpers import make_component, make_fit, reference_cascade
-from pitchmbc.ingest import parse_pitch_csv, write_pitch_csv
+from pitchmbc.ingest import PitchDataset, filter_pitches, parse_pitch_csv, write_pitch_csv
 from pitchmbc.labeling import (CLASSIFY_ROWS, LabelConfig, PitchType, classify_dataset,
                                classify_pitch, confusion_counts, format_confusion,
                                label_clusters, write_labeled_csv)
 from pitchmbc.mixture import EmConfig, e_step, fit_em
+from pitchmbc.plotting import cluster_colors, write_plot_csv, write_projection_svg
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs
 
 
@@ -203,6 +204,50 @@ def test_parse_and_classify_peak_is_a_small_multiple_of_the_dataset(tmp_path, se
         tracemalloc.stop()
     assert retained < 64 * n  # 24 bytes of numbers, 3 pointers, a flag
     assert peak < 4 * retained
+
+
+@pytest.mark.parametrize("n", [16_000, 64_000])
+def test_filter_and_writers_peak_below_a_small_multiple_of_the_dataset(tmp_path, season_model,
+                                                                        n):
+    """The filter selects rows without a list of row numbers, and each
+    per-pitch writer turns numbers into Python objects a block of rows at a
+    time, so each peaks (tracemalloc, above what was held before the call)
+    below a small multiple of the parsed dataset: about 1.1 times it for the
+    filter and at most 0.8 for a writer, where holding whole columns as
+    Python objects took 3 and 1.8-2.1."""
+    season = archetype_pitcher(n, seed=5)[0]
+    path = tmp_path / "season.csv"
+    write_pitch_csv(PitchDataset.from_columns(
+        season.to_matrix(), season.pitchers, season.seasons, season.reference_labels,
+        np.arange(n) % 50 == 7), path)  # 2% intentional balls
+    del season
+    tracemalloc.start()
+    try:
+        dataset = parse_pitch_csv(path)
+        retained = tracemalloc.get_traced_memory()[0]
+
+        def peak(call):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+
+        filtered, filter_peak = peak(lambda: filter_pitches(dataset))
+        idx, types, pmax = classify_dataset(season_model, filtered)
+        per_cluster = cluster_colors(season_model.labels)
+        colors = [per_cluster[i] for i in idx.tolist()]
+        X = filtered.to_matrix()
+        writer_peaks = [peak(call)[1] for call in (
+            lambda: write_labeled_csv(tmp_path / "labeled.csv", idx, types, pmax,
+                                      filtered.reference_labels),
+            lambda: write_plot_csv(tmp_path / "scatter.csv", X, types, colors),
+            lambda: write_projection_svg(tmp_path / "projections.svg", X, colors,
+                                         [("FourSeam", "red")]))]
+    finally:
+        tracemalloc.stop()
+    assert filtered.n == n - n // 50
+    assert filter_peak < 2 * retained
+    assert max(writer_peaks) < 1.25 * retained
 
 
 def test_confusion_counts_and_rendering():

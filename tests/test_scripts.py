@@ -77,7 +77,10 @@ def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
     for side, line in zip("AB", lines[3:5]):
         assert re.fullmatch(rf"tracemalloc peak {side}: fit [0-9.]+ MB; stability [0-9.]+ MB",
                             line)
-    assert lines[5:] == ["outputs byte-identical in every round"]
+    for side, line in zip("AB", lines[5:7]):
+        assert re.fullmatch(rf"ru_maxrss growth {side}: fit [0-9.]+ MB; stability [0-9.]+ MB",
+                            line)
+    assert lines[7:] == ["outputs byte-identical in every round"]
 
 
 def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
