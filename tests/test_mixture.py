@@ -427,9 +427,9 @@ STACK_CASES = {
     "n240_k2": (lambda: _archetype_subset(300, 3), 2, 3),
     "n960_k5": (lambda: _archetype_subset(1200, 4), 5, 4),  # groups of 3, 3 and 2
     "n400_k6": (lambda: archetype_pitcher(400, seed=11)[0].to_matrix(), 6, 0),
-    "outlier_k4": (lambda: _outlier_data(6), 4, 6),         # restart 7 fails at iteration 12
+    "outlier_k4": (lambda: _outlier_data(80), 4, 80),       # restart 4 fails at iteration 5
     "outlier_k2": (lambda: _outlier_data(20), 2, 20),       # restart 7 fails at iteration 9
-    "outlier_k3": (lambda: _outlier_data(27), 3, 27),       # restart 0 fails at iteration 16
+    "outlier_k3": (lambda: _outlier_data(47), 3, 47),       # restart 7 fails at iteration 4
     "duplicated_k5": (lambda: _duplicated_data(), 5, 0),    # every restart fails
 }
 

@@ -1,5 +1,6 @@
 """Each experiment script runs end to end, in-process, on tiny arguments."""
 
+import json
 import re
 import runpy
 import shutil
@@ -23,7 +24,8 @@ def run_script(monkeypatch, name, *args):
 
 def test_every_script_is_covered():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == [
-        "ab_timing.py", "make_synthetic_data.py", "penalty_sweep.py", "stability_histograms.py"]
+        "ab_timing.py", "accuracy_map.py", "make_synthetic_data.py", "penalty_sweep.py",
+        "reference_optima.py", "stability_histograms.py"]
 
 
 def test_make_synthetic_data_then_histograms_over_batch(monkeypatch, tmp_path, capsys):
@@ -60,11 +62,37 @@ def test_penalty_sweep(monkeypatch, capsys, dataset):
     assert "selected k" in out and "(= ln n)" in out
 
 
-def _ab_timing(monkeypatch, tree_b, data, rounds):
+def test_reference_optima_writes_then_counts(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "optima.json"
+    run_script(monkeypatch, "reference_optima.py", "--cases", "2", "--runs", "2",
+               "--out", str(out))
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(doc) == ["cases", "platform", "runs"] and doc["runs"] == 2
+    assert [(c["n"], c["seed"], c["spread"], c["k"]) for c in doc["cases"]] == [
+        (120, 3, 1.0, 1), (120, 3, 1.0, 2)]
+    assert all(c["loglik"] < 0 for c in doc["cases"])
+    capsys.readouterr()
+    run_script(monkeypatch, "reference_optima.py", "--count", "--out", str(out))
+    out_lines = capsys.readouterr().out.splitlines()
+    # k=1 has a single optimum, which every fit reaches
+    assert re.fullmatch(r"2 cases: [12] within 1e-06 relative of the reference, "
+                        r"[01] above it, [01] below it", out_lines[0])
+    assert out_lines[1].startswith("misses by k:")
+
+
+def test_accuracy_map_one_cell(monkeypatch, capsys):
+    run_script(monkeypatch, "accuracy_map.py", "--n", "150", "--spread", "1.0", "--runs", "2")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["| spread | n=150 |", "| --- | --- |", "| 1.0 | 1.000, 1.000 |",
+                         "selected k, n=150 spread 1.0: 5 5"]
+    assert lines[4].startswith("CPU ")
+
+
+def _ab_timing(monkeypatch, tree_b, data, rounds, *options):
     run_script(monkeypatch, "ab_timing.py", str(ROOT), str(tree_b), "--rounds", str(rounds),
                "--cmd", f"fit --input {data} --kmax 2 --restarts 1 --out {{out}}/m.json",
                "--cmd", f"stability --input {data} --k 2 --reps 2 --restarts 1 "
-                        "--out {out}/s.csv")
+                        "--out {out}/s.csv", *options)
 
 
 def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
@@ -83,16 +111,34 @@ def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
     assert lines[7:] == ["outputs byte-identical in every round"]
 
 
-def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
-    data = tmp_path / "p.csv"
-    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
+def _differing_tree(tmp_path):
+    """A copy of this tree whose score table has another header."""
     tree = tmp_path / "tree"
     shutil.copytree(ROOT / "src" / "pitchmbc", tree / "src" / "pitchmbc",
                     ignore=shutil.ignore_patterns("__pycache__"))
     selection = tree / "src" / "pitchmbc" / "selection.py"
     selection.write_text(selection.read_text().replace('"bic_adj", "converged"',
                                                        '"bic_adj", "converged?"'))
+    return tree
+
+
+def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "p.csv"
+    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
     with pytest.raises(SystemExit, match="outputs differ between the trees"):
-        _ab_timing(monkeypatch, tree, data, 1)
+        _ab_timing(monkeypatch, _differing_tree(tmp_path), data, 1)
     out = capsys.readouterr().out
     assert "warm-up: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv" in out
+
+
+def test_ab_timing_outputs_may_differ_still_times(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "p.csv"
+    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
+    _ab_timing(monkeypatch, _differing_tree(tmp_path), data, 1, "--outputs-may-differ")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "warm-up: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv",
+        "round 1: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv"]
+    assert lines[2].startswith("round 1 (A first): A ") and " A/B " in lines[2]
+    assert lines[3].startswith("B faster in ") and "median A/B " in lines[3]
+    assert lines[-1] == "outputs differ, as --outputs-may-differ allows"
