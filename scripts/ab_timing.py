@@ -20,9 +20,8 @@ peak per command. Last it prints, per tree and command, the growth of
 ``ru_maxrss`` (read as KiB, as Linux reports it) over one run of the
 command in a fresh child process, started before any round; unlike the
 traced peak, it includes heap fragmentation. It exits 1 when the trees'
-exit codes or output files differ in any round. With
-``--outputs-may-differ``, for a change meant to move outputs, differing
-files are still listed per round but only differing exit codes fail.
+exit codes or output files differ in any round, after printing every
+figure above, so a change meant to move outputs can still quote its ratios.
 """
 
 import os
@@ -134,8 +133,6 @@ def main():
     parser.add_argument("--cmd", action="append", required=True,
                         help="a pitchmbc command line; {out} is the output directory")
     parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--outputs-may-differ", action="store_true",
-                        help="list differing output files without failing")
     args = parser.parse_args()
     if args.rounds < 1:
         sys.exit("--rounds must be >= 1")
@@ -148,7 +145,7 @@ def main():
             growths[side] = rss_growths(tree, args.cmd, Path(tmp))
     clis = {"A": load_cli(args.tree_a, "_ab_tree_a"), "B": load_cli(args.tree_b, "_ab_tree_b")}
     times: dict[str, list[float]] = {"A": [], "B": []}
-    failed = differed = False
+    failed = False
     for rnd in range(args.rounds + 1):
         order = "AB" if rnd % 2 else "BA"
         seconds, codes = {}, {}
@@ -160,8 +157,7 @@ def main():
             differ = differences(Path(tmp) / "A", Path(tmp) / "B")
         name = f"round {rnd}" if rnd else "warm-up"
         if codes["A"] != codes["B"] or differ:
-            failed = failed or codes["A"] != codes["B"] or not args.outputs_may_differ
-            differed = True
+            failed = True
             print(f"{name}: exit codes A {codes['A']} B {codes['B']}; "
                   f"files that differ: {', '.join(differ) or 'none'}")
         if rnd:
@@ -186,8 +182,7 @@ def main():
             f"{cmd.split()[0]} {growth:.2f} MB" for cmd, growth in zip(args.cmd, growths[side])))
     if failed:
         sys.exit("outputs differ between the trees")
-    print("outputs differ, as --outputs-may-differ allows" if differed
-          else "outputs byte-identical in every round")
+    print("outputs byte-identical in every round")
 
 
 if __name__ == "__main__":

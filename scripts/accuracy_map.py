@@ -18,15 +18,11 @@ import argparse
 import statistics
 import time
 
-from pitchmbc.labeling import PitchType, classify_dataset, label_clusters
+from pitchmbc.labeling import classify_dataset, label_clusters
 from pitchmbc.mixture import EmConfig, fit_em
 from pitchmbc.selection import TIE_EPS, select_k
-from pitchmbc.synth import archetype_pitcher
+from pitchmbc.synth import ARCHETYPE_TYPES, archetype_pitcher
 
-# the pitch type each generator archetype should be labeled
-ARCHETYPE_TYPES = {"four_seam": PitchType.FOUR_SEAM, "sinker": PitchType.SINKER,
-                   "changeup": PitchType.CHANGEUP, "slider": PitchType.SLIDER,
-                   "curveball": PitchType.CURVEBALL}
 NS = (150, 400, 1200)
 SPREADS = (1.0, 1.3, 1.6, 2.0)
 

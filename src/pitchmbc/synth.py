@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ingest import PitchDataset
+from .labeling import PitchType
 
 # name -> (mean (speed, back, side), stddev) in mph / spin units
 ARCHETYPES: dict[str, tuple[tuple[float, float, float], tuple[float, float, float]]] = {
@@ -23,6 +24,17 @@ ARCHETYPES: dict[str, tuple[tuple[float, float, float], tuple[float, float, floa
 }
 
 DEFAULT_ARCHETYPE_WEIGHTS = (0.30, 0.20, 0.18, 0.17, 0.15)
+
+# the pitch type the rule cascade should give each generated cluster name
+ARCHETYPE_TYPES: dict[str, PitchType] = {
+    "four_seam": PitchType.FOUR_SEAM,
+    "sinker": PitchType.SINKER,
+    "changeup": PitchType.CHANGEUP,
+    "slider": PitchType.SLIDER,
+    "curveball": PitchType.CURVEBALL,
+    "curveball_early": PitchType.CURVEBALL,
+    "curveball_late": PitchType.CURVEBALL,
+}
 
 
 def exact_moment_sample(rng: np.random.Generator, n: int, mean, cov) -> np.ndarray:

@@ -19,7 +19,7 @@ from pitchmbc.ingest import (ColumnSchema, PitchDataset, PitchRecord, parse_pitc
 from pitchmbc.labeling import LabelConfig, PitchType
 from pitchmbc.mixture import EmConfig
 from pitchmbc.selection import select_k
-from pitchmbc.synth import archetype_pitcher
+from pitchmbc.synth import ARCHETYPE_TYPES, archetype_pitcher
 
 FIT_SPEED_FLAGS = ["--restarts", "2", "--max-iter", "200", "--tol", "1e-7"]
 
@@ -127,14 +127,11 @@ def test_classify_holdout_matches_generator(fitted_model, tmp_path):
     out = tmp_path / "labeled.csv"
     assert main(["classify", "--model", str(fitted_model), "--input",
                  str(holdout_path), "--out", str(out)]) == 0
-    expected_type = {"four_seam": "FourSeam", "sinker": "Sinker",
-                     "changeup": "Changeup", "slider": "Slider",
-                     "curveball": "Curveball"}
     lines = out.read_text().strip().splitlines()[1:]
     hits = 0
     for line, j in zip(lines, comp):
         pitch_type = line.split(",")[2]
-        hits += (pitch_type == expected_type[names[j]])
+        hits += (pitch_type == ARCHETYPE_TYPES[names[j]])
     assert hits / len(lines) >= 0.95
 
 

@@ -31,11 +31,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pitchmbc.cli import main
 from pitchmbc.ingest import PitchDataset, serialize_pitch_csv, write_pitch_csv
+from pitchmbc.platform_stamp import platform_stamp
 from pitchmbc.synth import archetype_pitcher
 
 EXPECTED = Path(__file__).with_name("golden.json")
@@ -43,17 +43,6 @@ REL = 1e-9
 # CSV columns that carry the meaning of a table; the rest are derived or diagnostic
 MEANING_COLUMNS = ("k", "labels", "loglik", "converged", "cluster_index", "pitch_type",
                    "agreement_80", "agreement_20", "mean_80", "mean_20", "status")
-
-
-def platform() -> dict:
-    """What the output bytes depend on besides the code."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}
 
 
 def messy_text() -> str:
@@ -178,7 +167,7 @@ def test_golden_meaning(observed, expected):
 
 
 def test_golden_bytes(observed, expected):
-    here = platform()
+    here = platform_stamp()
     if here != expected["platform"]:
         pytest.skip(f"outputs recorded with {expected['platform']}, running {here}")
     assert observed["sha256"] == expected["sha256"]
@@ -189,6 +178,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         run_commands(Path(tmp) / "inputs", Path(tmp) / "out")
-        doc = {"platform": platform(), **observe(Path(tmp) / "out")}
+        doc = {"platform": platform_stamp(), **observe(Path(tmp) / "out")}
     EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {EXPECTED}")

@@ -88,11 +88,11 @@ def test_accuracy_map_one_cell(monkeypatch, capsys):
     assert lines[4].startswith("CPU ")
 
 
-def _ab_timing(monkeypatch, tree_b, data, rounds, *options):
+def _ab_timing(monkeypatch, tree_b, data, rounds):
     run_script(monkeypatch, "ab_timing.py", str(ROOT), str(tree_b), "--rounds", str(rounds),
                "--cmd", f"fit --input {data} --kmax 2 --restarts 1 --out {{out}}/m.json",
                "--cmd", f"stability --input {data} --k 2 --reps 2 --restarts 1 "
-                        "--out {out}/s.csv", *options)
+                        "--out {out}/s.csv")
 
 
 def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
@@ -111,34 +111,21 @@ def test_ab_timing_same_tree_on_both_sides(monkeypatch, tmp_path, capsys):
     assert lines[7:] == ["outputs byte-identical in every round"]
 
 
-def _differing_tree(tmp_path):
-    """A copy of this tree whose score table has another header."""
+def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "p.csv"
+    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
     tree = tmp_path / "tree"
     shutil.copytree(ROOT / "src" / "pitchmbc", tree / "src" / "pitchmbc",
                     ignore=shutil.ignore_patterns("__pycache__"))
     selection = tree / "src" / "pitchmbc" / "selection.py"
     selection.write_text(selection.read_text().replace('"bic_adj", "converged"',
                                                        '"bic_adj", "converged?"'))
-    return tree
-
-
-def test_ab_timing_names_the_files_that_differ(monkeypatch, tmp_path, capsys):
-    data = tmp_path / "p.csv"
-    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
     with pytest.raises(SystemExit, match="outputs differ between the trees"):
-        _ab_timing(monkeypatch, _differing_tree(tmp_path), data, 1)
-    out = capsys.readouterr().out
-    assert "warm-up: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv" in out
-
-
-def test_ab_timing_outputs_may_differ_still_times(monkeypatch, tmp_path, capsys):
-    data = tmp_path / "p.csv"
-    write_pitch_csv(archetype_pitcher(60, seed=1)[0], data)
-    _ab_timing(monkeypatch, _differing_tree(tmp_path), data, 1, "--outputs-may-differ")
+        _ab_timing(monkeypatch, tree, data, 1)
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
         "warm-up: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv",
         "round 1: exit codes A [0, 0] B [0, 0]; files that differ: m_scores.csv"]
+    # the timings are printed before the exit, so they can still be quoted
     assert lines[2].startswith("round 1 (A first): A ") and " A/B " in lines[2]
     assert lines[3].startswith("B faster in ") and "median A/B " in lines[3]
-    assert lines[-1] == "outputs differ, as --outputs-may-differ allows"
