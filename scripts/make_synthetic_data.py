@@ -7,6 +7,8 @@ cohort file suitable for `pitchmbc batch`.
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from pitchmbc.ingest import PitchDataset, write_pitch_csv
 from pitchmbc.synth import archetype_pitcher, curveball_evolution_pitcher
 
@@ -29,16 +31,17 @@ def main():
                                             pitcher_id="demo-evolution")
     write_pitch_csv(evo, outdir / "demo_evolution.csv")
 
-    records = []
-    for i in range(args.cohort):
-        ds, _, _ = archetype_pitcher(args.n, seed=args.seed + 100 + i,
-                                     pitcher_id=f"pitcher{i:03d}")
-        records.extend(ds.records)
-    write_pitch_csv(PitchDataset(tuple(records)), outdir / "demo_cohort.csv")
+    cohort = [archetype_pitcher(args.n, seed=args.seed + 100 + i,
+                                pitcher_id=f"pitcher{i:03d}")[0] for i in range(args.cohort)]
+    joined = PitchDataset.from_columns(
+        np.vstack([ds.to_matrix() for ds in cohort]),
+        *([value for ds in cohort for value in getattr(ds, column)]
+          for column in ("pitchers", "seasons", "reference_labels", "intentional")))
+    write_pitch_csv(joined, outdir / "demo_cohort.csv")
 
     print(f"wrote {outdir}/demo_pitcher.csv ({single.n} pitches)")
     print(f"wrote {outdir}/demo_evolution.csv ({evo.n} pitches)")
-    print(f"wrote {outdir}/demo_cohort.csv ({len(records)} pitches, {args.cohort} pitchers)")
+    print(f"wrote {outdir}/demo_cohort.csv ({joined.n} pitches, {args.cohort} pitchers)")
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ from .errors import (AllRestartsDegenerate, ArchiveError, ArchiveVersionMismatch
                      IngestError, MalformedRow, MissingColumn, NoViableK,
                      PitchMbcError, SingularCovariance, TooFewPoints)
 from .ingest import (ColumnSchema, DEFAULT_SCHEMA, PitchDataset, PitchRecord,
-                     filter_pitches, parse_pitch_csv, serialize_pitch_csv,
-                     write_pitch_csv)
+                     filter_pitches, parse_pitch_csv, write_pitch_csv)
 from .labeling import (LabelConfig, LabeledModel, PitchType, classify_dataset,
-                       classify_pitch, label_clusters)
-from .mixture import (EmConfig, FittedMixture, MixtureComponent, e_step, fit_em,
-                      log_density, m_step, param_count, posterior_assign)
+                       label_clusters)
+from .mixture import (EmConfig, FittedMixture, MixtureComponent, e_step, fit_em, m_step,
+                      param_count)
 from .selection import (CriterionScore, SelectionConfig, SelectionResult, bic,
                         bic_adj, choose_best, select_k)
 from .stability import (StabilityReport, align_clusters, aligned_agreement,

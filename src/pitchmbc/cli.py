@@ -340,6 +340,9 @@ def cmd_batch(args) -> int:
         sub = per_pitcher[pitcher_id]
         row = dict(dict.fromkeys(_SUMMARY_FIELDS, ""), pitcher_id=pitcher_id, status="ok")
         try:
+            # the id names this pitcher's output files, which must stay in outdir
+            if pitcher_id in (".", "..") or Path(pitcher_id).name != pitcher_id:
+                raise ValueError(f"pitcher id {pitcher_id!r} is not a plain file name")
             filtered = filter_pitches(sub)
             kmax = min(args.kmax, filtered.n // POINTS_PER_COMPONENT)
             if kmax < args.kmin:

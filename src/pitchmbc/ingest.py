@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, MalformedRow, MissingColumn
+from .errors import EmptyDataset, IngestError, MalformedRow, MissingColumn
 
 REQUIRED_FIELDS = ("pitcher_id", "start_speed", "back_spin", "side_spin")
 OPTIONAL_FIELDS = ("season", "reference_label", "intentional")
@@ -50,9 +50,25 @@ class ColumnSchema:
     def __post_init__(self):
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        read_by: dict[str, str] = {}
+        for logical in REQUIRED_FIELDS + OPTIONAL_FIELDS:
+            column = getattr(self, logical)
+            if column in read_by:
+                raise ValueError(f"fields {read_by[column]} and {logical} both read "
+                                 f"column {column!r}")
+            read_by[column] = logical
 
 
 DEFAULT_SCHEMA = ColumnSchema()
+
+
+def _check_range(start_speed: float, back_spin: float, side_spin: float) -> None:
+    """Raise ValueError unless the pitch keeps the range rule: a start speed
+    in (0, 200) mph and finite spin components."""
+    if not (math.isfinite(start_speed) and 0.0 < start_speed < 200.0):
+        raise ValueError(f"start_speed {start_speed!r} outside (0, 200)")
+    if not (math.isfinite(back_spin) and math.isfinite(side_spin)):
+        raise ValueError("spin components must be finite")
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,7 @@ class PitchRecord:
     is_intentional_ball: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_speed) and 0.0 < self.start_speed < 200.0):
-            raise ValueError(f"start_speed {self.start_speed!r} outside (0, 200)")
-        if not (math.isfinite(self.back_spin) and math.isfinite(self.side_spin)):
-            raise ValueError("spin components must be finite")
+        _check_range(self.start_speed, self.back_spin, self.side_spin)
 
 
 class PitchDataset:
@@ -80,9 +93,17 @@ class PitchDataset:
     ``to_matrix()`` is the read-only (n, 3) float64 matrix of
     (start_speed, back_spin, side_spin). ``pitchers``, ``seasons`` and
     ``reference_labels`` are tuples of strings, "" where a value is absent,
-    and ``intentional`` is a read-only bool array. ``PitchDataset(records)``
-    builds the columns from :class:`PitchRecord` s, and :attr:`records`
-    builds records from the columns on each access.
+    and ``intentional`` is a read-only bool array. The parse and
+    :meth:`from_columns` build the columns directly.
+
+    ``PitchDataset(records)``, which builds the columns from
+    :class:`PitchRecord` s, and :attr:`records`, which builds records from
+    the columns on each access, are kept only because the benchmark in
+    ``perfbench/`` still uses them: its input generator joins per-pitcher
+    datasets through ``.records`` and ``dataclasses.replace``. The same
+    benchmark keeps ``mixture.m_step`` (its kernel probe) and
+    ``plotting.projection_svg`` with its import in ``cli`` (a traced span).
+    They go when the benchmark stops using them.
 
     ``rejected`` carries (line_number, reason) reports for rows dropped at
     parse time and ``removed_intentional`` the count dropped by
@@ -142,8 +163,7 @@ class PitchDataset:
             raise EmptyDataset("dataset has no records", rejected=rejected)
         bad = ~((X[:, 0] > 0.0) & (X[:, 0] < 200.0) & np.isfinite(X).all(axis=1))
         if bad.any():
-            row = int(np.argmax(bad))
-            PitchRecord(columns[0][row], *X[row].tolist())  # raises the record's own message
+            _check_range(*X[int(np.argmax(bad))].tolist())
         X.flags.writeable = False
         intentional.flags.writeable = False
         for name, value in zip(self.__slots__, (X, *columns, intentional, tuple(rejected),
@@ -283,22 +303,20 @@ def _parse_flag(token: str) -> bool:
     raise ValueError(f"unparseable intentional flag {token!r}")
 
 
-def _parse_row(row: Sequence[str], get) -> PitchRecord:
-    """The record of one non-blank row, or ValueError with the first reason
+def _parse_row(row: Sequence[str], get) -> tuple:
+    """(pitcher, speed, back spin, side spin, season, label, flag) of one
+    non-blank row, absent strings as "", or ValueError with the first reason
     it is malformed: pitcher id, then each number, then the flag, then the
-    record's own range checks."""
+    range rule."""
     pid = get(row, "pitcher_id").strip()
     if not pid:
         raise ValueError("missing pitcher_id")
-    return PitchRecord(
-        pitcher_id=pid,
-        start_speed=_parse_float(get(row, "start_speed"), "start_speed"),
-        back_spin=_parse_float(get(row, "back_spin"), "back_spin"),
-        side_spin=_parse_float(get(row, "side_spin"), "side_spin"),
-        season=get(row, "season").strip() or None,
-        reference_label=get(row, "reference_label").strip() or None,
-        is_intentional_ball=_parse_flag(get(row, "intentional")),
-    )
+    speed, back, side = (_parse_float(get(row, f), f)
+                         for f in ("start_speed", "back_spin", "side_spin"))
+    flag = _parse_flag(get(row, "intentional"))
+    _check_range(speed, back, side)
+    return (pid, speed, back, side, get(row, "season").strip(),
+            get(row, "reference_label").strip(), flag)
 
 
 def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDataset:
@@ -333,6 +351,10 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
                 except ValueError:
                     if logical in REQUIRED_FIELDS:
                         raise MissingColumn(logical, column) from None
+                    continue
+                if header.count(column) > 1:
+                    raise IngestError(f"column {column!r}, read by {logical}, appears "
+                                      f"{header.count(column)} times in the header")
 
             def get(row: Sequence[str], logical: str) -> str:
                 idx = position.get(logical)
@@ -370,17 +392,14 @@ def parse_pitch_csv(source, schema: ColumnSchema = DEFAULT_SCHEMA) -> PitchDatas
                         if not any(cell.strip() for cell in row):
                             continue
                         try:
-                            rec = _parse_row(row, get)
+                            pid, speed, back, side, season, label, flag = _parse_row(row, get)
                         except ValueError as exc:
                             rejected.append((line_no, str(MalformedRow(line_no, exc))))
                             continue
-                        pid, season, label = (text.setdefault(v, v) for v in (
-                            rec.pitcher_id, rec.season or "", rec.reference_label or ""))
+                        pid, season, label = (text.setdefault(v, v) for v in (pid, season, label))
                         for i, value in ((i_pid, pid), (i_season, season), (i_label, label)):
                             if i is not None and i < len(row):  # a padded cell, say
                                 text.setdefault(row[i], value)
-                        speed, back, side = rec.start_speed, rec.back_spin, rec.side_spin
-                        flag = rec.is_intentional_ball
                     values += (speed, back, side)
                     pitchers.append(pid)
                     seasons.append(season)
@@ -507,12 +526,6 @@ def write_pitch_csv(dataset: PitchDataset, dest, schema: ColumnSchema = DEFAULT_
         writer.writerows(zip(dataset.pitchers, dataset.seasons, speed, back, side,
                              dataset.reference_labels,
                              ["1" if flag else "0" for flag in dataset.intentional.tolist()]))
-
-
-def serialize_pitch_csv(dataset: PitchDataset, schema: ColumnSchema = DEFAULT_SCHEMA) -> str:
-    buf = io.StringIO()
-    write_pitch_csv(dataset, buf, schema)
-    return buf.getvalue()
 
 
 def filter_pitches(dataset: PitchDataset) -> PitchDataset:

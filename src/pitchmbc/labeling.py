@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import write_csv_columns
-from .mixture import (FittedMixture, MixtureComponent, _as_matrix, e_step,
-                      posterior_assign)
+from .mixture import FittedMixture, MixtureComponent, _as_matrix, e_step
 
 
 class PitchType(str, enum.Enum):
@@ -179,12 +178,6 @@ def label_clusters(fit: FittedMixture, config: LabelConfig = LabelConfig(),
         fit=fit, labels=tuple(labels), anchor_index=anchor_idx,
         rule_trace=tuple(traces), config=config,
     )
-
-
-def classify_pitch(model: LabeledModel, x) -> tuple[PitchType, int, np.ndarray]:
-    """Posterior-assign one pitch, then map the winning cluster to its name."""
-    idx, posterior = posterior_assign(model.fit, x)
-    return model.labels[idx], idx, posterior
 
 
 # Rows per e_step in classify_dataset. Its temporaries, about 300 bytes a row

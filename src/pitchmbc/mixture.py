@@ -309,17 +309,6 @@ def _build_components(weights: np.ndarray, means: np.ndarray,
     return tuple(out)
 
 
-def log_density(component: MixtureComponent, x) -> float:
-    """Log multivariate normal density of a single 3-vector under a component."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    return float(_e_stack(np.ones(1), component.mean[None], component.covariance()[None],
-                          _features(x[None])[6:])[1])
-
-
 def e_step(components: Sequence[MixtureComponent], data) -> tuple[np.ndarray, float]:
     """Posterior responsibilities and total log-likelihood.
 
@@ -516,11 +505,3 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
         f"all {config.restarts} restarts degenerate: "
         + "; ".join(f"restart {run.index}: {run.failure}" for run in failed + ranked)
     )
-
-
-def posterior_assign(fit: FittedMixture, x) -> tuple[int, np.ndarray]:
-    """Argmax-posterior cluster for one pitch, ties to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    resp, _ = e_step(fit.components, x[None, :])
-    posterior = resp[0]
-    return int(np.argmax(posterior)), posterior

@@ -6,6 +6,7 @@ needs real data and is skipped unless PITCHMBC_ZITO_CSV points at a
 2010-11 Barry Zito pitch file in the default schema.
 """
 
+import io
 import math
 import os
 import time
@@ -19,8 +20,8 @@ from helpers import (adjusted_rand_index, brute_force_alignment, make_component,
                      make_fit, reference_cascade)
 from pitchmbc.archive import archive_from_results, archive_to_json, load_archive, save_archive
 from pitchmbc.cli import main
-from pitchmbc.ingest import filter_pitches, parse_pitch_csv, serialize_pitch_csv, write_pitch_csv
-from pitchmbc.labeling import LabelConfig, PitchType, classify_pitch, label_clusters
+from pitchmbc.ingest import filter_pitches, parse_pitch_csv, write_pitch_csv
+from pitchmbc.labeling import LabelConfig, PitchType, classify_dataset, label_clusters
 from pitchmbc.mixture import EmConfig, fit_em
 from pitchmbc.selection import SelectionConfig, select_k
 from pitchmbc.stability import align_clusters, stability_run
@@ -140,8 +141,7 @@ def test_criterion_06_evolution_split_both_curveballs():
     curves = [i for i, lb in enumerate(model.labels) if lb is PitchType.CURVEBALL]
     speeds = sorted(fit.components[i].mean[0] for i in curves)
     both_classified = all(
-        classify_pitch(model, fit.components[i].mean)[0] is PitchType.CURVEBALL
-        for i in curves)
+        t is PitchType.CURVEBALL for t in classify_dataset(model, fit.means()[curves])[1])
     ok = len(curves) == 2 and both_classified
     report(6, "two curveball-profile clusters 2 mph apart both labeled Curveball",
            ok, f"curveball clusters={curves} speeds={[f'{s:.1f}' for s in speeds]}")
@@ -207,11 +207,13 @@ def test_criterion_09_determinism_and_roundtrips(tmp_path):
 
     # (c) CSV -> dataset -> CSV round trip is lossless
     ds1 = parse_pitch_csv(data_path)
-    text1 = serialize_pitch_csv(ds1)
+    text1, text2 = io.StringIO(), io.StringIO()
+    write_pitch_csv(ds1, text1)
     again = data_path.with_name("again.csv")
-    again.write_text(text1)
+    again.write_text(text1.getvalue())
     ds2 = parse_pitch_csv(again)
-    csv_lossless = ds2 == ds1 and serialize_pitch_csv(ds2) == text1
+    write_pitch_csv(ds2, text2)
+    csv_lossless = ds2 == ds1 and text2.getvalue() == text1.getvalue()
 
     ok = bytes_identical and archive_exact and csv_lossless
     report(9, "seed determinism, archive exactness, CSV round trip",

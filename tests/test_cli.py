@@ -614,6 +614,32 @@ def test_columns_unknown_field_is_validation_error(pitcher_csv, tmp_path, capsys
     assert "--columns: unknown key(s) speed" in capsys.readouterr().err
 
 
+def test_columns_mapping_two_fields_to_one_column_is_validation_error(pitcher_csv, tmp_path,
+                                                                       capsys):
+    code = main(["fit", "--input", str(pitcher_csv), "--columns", "back_spin=start_speed",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 4
+    assert capsys.readouterr().err == ("error: fields start_speed and back_spin both read "
+                                       "column 'start_speed'\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_header_naming_a_mapped_column_twice_is_validation_error(fitted_model, tmp_path,
+                                                                  capsys, command):
+    path = tmp_path / "twice.csv"
+    write_pitch_csv(archetype_pitcher(120, seed=3)[0], path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0] + ",start_speed"]
+                              + [line + ",1.0" for line in lines[1:]]) + "\n")
+    code = main([command, "--input", str(path)]
+                + _command_args(command, fitted_model, tmp_path / "out"))
+    assert code == 4
+    assert capsys.readouterr().err == ("error: column 'start_speed', read by start_speed, "
+                                       "appears 2 times in the header\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["twice.csv"]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_columns_does_not_set_the_delimiter(fitted_model, tmp_path, capsys, command):
     path = tmp_path / "semicolons.csv"
@@ -665,6 +691,31 @@ def test_pitcher_flag_and_batch(tmp_path):
                  "--outdir", str(tmp_path / "none")])
     assert code == 4
     assert not (tmp_path / "none").exists()
+
+
+def test_batch_pitcher_id_that_is_not_a_file_name_writes_nothing(tmp_path, capsys):
+    ids = ("../escaped", "sub/dir", "ok")
+    parts = [archetype_pitcher(60, seed=i, pitcher_id=pid)[0] for i, pid in enumerate(ids)]
+    work = tmp_path / "work"
+    work.mkdir()
+    path = work / "ids.csv"
+    write_pitch_csv(PitchDataset([r for ds in parts for r in ds.records]), path)
+    outdir = work / "out" / "o"
+    code = main(["batch", "--input", str(path), "--outdir", str(outdir), "--kmin", "1",
+                 "--kmax", "3", "--reps", "2"] + FIT_SPEED_FLAGS)
+    assert code == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["work/ids.csv", "work/out/o/ok.json", "work/out/o/ok_scores.csv",
+                       "work/out/o/ok_stability.csv", "work/out/o/stability_agreements.csv",
+                       "work/out/o/summary.csv"]
+    summary = (outdir / "summary.csv").read_text().splitlines()
+    status = {line.split(",")[0]: line.split(",")[-1] for line in summary[1:]}
+    assert status == {
+        "../escaped": "error: pitcher id '../escaped' is not a plain file name",
+        "ok": "ok",
+        "sub/dir": "error: pitcher id 'sub/dir' is not a plain file name"}
+    err = capsys.readouterr().err
+    assert "../escaped: skipped (pitcher id '../escaped' is not a plain file name)" in err
 
 
 def test_batch_stability_equals_stability_command(tmp_path):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -34,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from pitchmbc.cli import main
-from pitchmbc.ingest import PitchDataset, serialize_pitch_csv, write_pitch_csv
+from pitchmbc.ingest import PitchDataset, write_pitch_csv
 from pitchmbc.platform_stamp import platform_stamp
 from pitchmbc.synth import archetype_pitcher
 
@@ -49,7 +50,9 @@ def messy_text() -> str:
     """A 300-pitch file with what the parser skips or rejects: malformed
     cells of five kinds, intentional balls, blank lines, a row of empty
     cells, a short row, padded cells and some "\\r\\n" line ends."""
-    lines = serialize_pitch_csv(archetype_pitcher(300, seed=12, pitcher_id="m")[0]).split("\n")
+    clean = io.StringIO()
+    write_pitch_csv(archetype_pitcher(300, seed=12, pitcher_id="m")[0], clean)
+    lines = clean.getvalue().split("\n")
     out = [lines[0]]
     for i, line in enumerate(lines[1:-1], start=1):
         cells = line.split(",")

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import reference_parse
 from pitchmbc import ingest
-from pitchmbc.errors import EmptyDataset, MalformedRow, MissingColumn
+from pitchmbc.errors import EmptyDataset, IngestError, MalformedRow, MissingColumn
 from pitchmbc.ingest import (ColumnSchema, DEFAULT_SCHEMA, PitchDataset, PitchRecord,
-                             filter_pitches, parse_pitch_csv, serialize_pitch_csv,
-                             write_pitch_csv)
+                             filter_pitches, parse_pitch_csv, write_pitch_csv)
 from pitchmbc.labeling import PitchType, write_labeled_csv
 from pitchmbc.plotting import write_plot_csv
 from pitchmbc.selection import CriterionScore, SelectionResult, write_score_csv
@@ -137,10 +136,16 @@ records_strategy = st.lists(
 @settings(max_examples=60)
 @given(records_strategy)
 def test_roundtrip_identity(records):
+    def reparse(dataset):
+        buf = io.StringIO()
+        write_pitch_csv(dataset, buf)
+        buf.seek(0)
+        return parse_pitch_csv(buf)
+
     ds = PitchDataset(tuple(records))
-    again = parse_pitch_csv(io.StringIO(serialize_pitch_csv(ds)))
+    again = reparse(ds)
     assert again == ds
-    third = parse_pitch_csv(io.StringIO(serialize_pitch_csv(again)))
+    third = reparse(again)
     assert third == again
 
 
@@ -337,6 +342,54 @@ def test_rejected_rows_are_numbered_by_the_physical_line_they_start_on(end):
     assert ds.pitchers == (f"a{end}b", "f")
     assert [line for line, _ in ds.rejected] == [4, 6]
     assert ds.rejected[1][1] == "row 6: start_speed 250.0 outside (0, 200)"
+
+
+# A pitch that breaks the range rule, the rule's message, and the rejected-row
+# reason of the parse, whose number check reads a non-finite cell first
+RANGE_CASES = [
+    pytest.param((0.0, 1.0, 1.0), "start_speed 0.0 outside (0, 200)", None, id="speed-0"),
+    pytest.param((250.0, 1.0, 1.0), "start_speed 250.0 outside (0, 200)", None, id="speed-250"),
+    pytest.param((90.0, float("nan"), 1.0), "spin components must be finite",
+                 "non-finite back_spin 'nan'", id="nan-back-spin"),
+    pytest.param((90.0, 1.0, float("inf")), "spin components must be finite",
+                 "non-finite side_spin 'inf'", id="inf-side-spin"),
+]
+
+
+@pytest.mark.parametrize("pitch,message,cell_message", RANGE_CASES)
+def test_one_range_rule_three_ways_in(pitch, message, cell_message):
+    text = f"{SHORT_HEADER}\nok,90,1,2\nbad,{','.join(map(repr, pitch))}\n"
+    parsed = parse_pitch_csv(io.StringIO(text))
+    assert parsed.rejected == ((3, f"row 3: {cell_message or message}"),)
+    with pytest.raises(ValueError) as from_columns:
+        PitchDataset.from_columns([(90.0, 1.0, 2.0), pitch], ["ok", "bad"])
+    with pytest.raises(ValueError) as from_records:
+        PitchDataset([PitchRecord("ok", 90.0, 1.0, 2.0), PitchRecord("bad", *pitch)])
+    assert str(from_columns.value) == str(from_records.value) == message
+
+
+def test_schema_rejects_two_fields_reading_one_column():
+    with pytest.raises(ValueError,
+                       match="fields start_speed and back_spin both read column 'start_speed'"):
+        ColumnSchema(back_spin="start_speed")
+    with pytest.raises(ValueError,
+                       match="fields season and reference_label both read column 'kind'"):
+        ColumnSchema(season="kind", reference_label="kind")
+
+
+@pytest.mark.parametrize("column,field", [("start_speed", "start_speed"),
+                                          ("pitch_type", "reference_label")])
+def test_mapped_column_twice_in_the_header_is_an_ingest_error(column, field):
+    text = f"{SHORT_HEADER},pitch_type,{column}\np,90,1,2,FF,91\n"
+    with pytest.raises(IngestError) as err:
+        parse_pitch_csv(io.StringIO(text))
+    assert str(err.value) == (f"column {column!r}, read by {field}, "
+                              "appears 2 times in the header")
+
+
+def test_unmapped_column_may_repeat_in_the_header():
+    ds = parse_pitch_csv(io.StringIO(f"notes,{SHORT_HEADER},notes\na,p,90,1,2,b\n"))
+    assert ds.pitchers == ("p",) and ds.to_matrix().tolist() == [[90.0, 1.0, 2.0]]
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes", "text"])

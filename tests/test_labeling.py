@@ -9,8 +9,8 @@ from cascade_cases import CASCADE_CASES
 from helpers import make_component, make_fit, reference_cascade
 from pitchmbc.ingest import PitchDataset, filter_pitches, parse_pitch_csv, write_pitch_csv
 from pitchmbc.labeling import (CLASSIFY_ROWS, LabelConfig, PitchType, classify_dataset,
-                               classify_pitch, confusion_counts, format_confusion,
-                               label_clusters, write_labeled_csv)
+                               confusion_counts, format_confusion, label_clusters,
+                               write_labeled_csv)
 from pitchmbc.mixture import EmConfig, e_step, fit_em
 from pitchmbc.plotting import cluster_colors, write_plot_csv, write_projection_svg
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs
@@ -122,13 +122,13 @@ def test_raising_changeup_gap_never_creates_changeups(rows, gap, bump):
             assert before is PitchType.CHANGEUP
 
 
-def test_classify_pitch_at_anchor_mean():
+def test_classify_one_pitch_at_anchor_mean():
     ds_rows = [(91, 120, -40, 15, 15, 0.6), (77, -60, 30, 15, 15, 0.4)]
     model = label_clusters(build_fit(ds_rows))
-    ptype, idx, post = classify_pitch(model, [91, 120, -40])
-    assert ptype is PitchType.FOUR_SEAM
-    assert idx == model.anchor_index
-    assert post[idx] > 0.99
+    idx, types, pmax = classify_dataset(model, [[91, 120, -40]])
+    assert types == [PitchType.FOUR_SEAM]
+    assert idx.tolist() == [model.anchor_index]
+    assert pmax[0] > 0.99
 
 
 def test_classify_two_curveball_clusters_either_way():
@@ -136,9 +136,9 @@ def test_classify_two_curveball_clusters_either_way():
             (75, -55, 35, 10, 10, 0.3)]
     model = label_clusters(build_fit(rows))
     assert [str(lb) for lb in model.labels] == ["FourSeam", "Curveball", "Curveball"]
-    for mean in ([77, -60, 30], [75, -55, 35]):
-        ptype, _, _ = classify_pitch(model, mean)
-        assert ptype is PitchType.CURVEBALL
+    for means in ([[77, -60, 30]], [[75, -55, 35]], [[77, -60, 30], [75, -55, 35]]):
+        _, types, _ = classify_dataset(model, means)
+        assert types == [PitchType.CURVEBALL] * len(means)
 
 
 def test_classify_synthetic_holdout_matches_generator():

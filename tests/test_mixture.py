@@ -17,50 +17,56 @@ from helpers import (assert_fits_identical, child_env, dense_mvn_logpdf, make_co
 from pitchmbc import mixture
 from pitchmbc.errors import (AllRestartsDegenerate, EmptyCluster, SingularCovariance,
                              TooFewPoints)
+from pitchmbc.labeling import classify_dataset, label_clusters
 from pitchmbc.mixture import (SHORT_ITER, EmConfig, FittedMixture, MixtureComponent, e_step,
-                              fit_em, log_density, m_step, param_count, posterior_assign)
+                              fit_em, m_step, param_count)
 from pitchmbc.selection import choose_best, select_k
 from pitchmbc.synth import archetype_pitcher, gaussian_blobs, three_separated_gaussians
 
 LOG_2PI = math.log(2 * math.pi)
 
 
-# ---------------------------------------------------------------- log_density
+# ------------------------------------------------------- one-row log density
 
-def test_log_density_at_mode_of_standard_normal():
+def one_row_ll(comp: MixtureComponent, x) -> float:
+    """The log density of the pitch ``x`` under ``comp``: the log-likelihood
+    of a one-row ``e_step`` over that one component."""
+    return e_step([comp], np.asarray(x, dtype=np.float64)[None])[1]
+
+
+def test_one_row_ll_at_mode_of_standard_normal():
     comp = make_component([0, 0, 0])
-    assert log_density(comp, [0, 0, 0]) == pytest.approx(-1.5 * LOG_2PI, abs=1e-14)
+    assert one_row_ll(comp, [0, 0, 0]) == pytest.approx(-1.5 * LOG_2PI, abs=1e-14)
 
 
-def test_log_density_one_unit_off_axis():
+def test_one_row_ll_one_unit_off_axis():
     comp = make_component([5, -3, 2])
-    at_mode = log_density(comp, [5, -3, 2])
-    off = log_density(comp, [5, -3, 3])
+    at_mode = one_row_ll(comp, [5, -3, 2])
+    off = one_row_ll(comp, [5, -3, 3])
     assert off == pytest.approx(at_mode - 0.5, abs=1e-12)
 
 
 @settings(max_examples=150)
 @given(st.integers(0, 10**6))
-def test_log_density_matches_dense_formula(seed):
+def test_one_row_ll_matches_dense_formula(seed):
     comp = random_spd_component(seed)
     rng = np.random.default_rng(seed + 1)
     x = comp.mean + rng.standard_normal(3) * comp.stddev * 2
     expect = dense_mvn_logpdf(x, comp.mean, comp.covariance())
-    got = log_density(comp, x)
+    got = one_row_ll(comp, x)
     assert got == pytest.approx(expect, rel=1e-10)
 
 
-def test_log_density_singular_covariance_raises():
+def test_e_step_singular_covariance_raises():
     # unit diagonal, |off| <= 1, but indefinite; then a correlation of exactly
     # 1: both pass construction and fail factorization
     indefinite = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
     collinear = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for corr in (indefinite, collinear):
         comp = make_component([0, 0, 0], correlation=np.array(corr))
-        with pytest.raises(SingularCovariance, match="not positive definite"):
-            log_density(comp, [0, 0, 0])
-        with pytest.raises(SingularCovariance, match="not positive definite"):
-            e_step([comp], np.zeros((2, 3)))
+        for rows in (1, 2):
+            with pytest.raises(SingularCovariance, match="not positive definite"):
+                e_step([comp], np.zeros((rows, 3)))
 
 
 def test_em_config_lowest_valid_values_fit():
@@ -89,7 +95,7 @@ def test_e_step_single_component():
     X = np.array([[91, 55, -25], [89, 45, -15], [90, 50, -20.0]])
     resp, ll = e_step([comp], X)
     assert np.array_equal(resp, np.ones((3, 1)))
-    direct = sum(log_density(comp, x) for x in X)
+    direct = sum(one_row_ll(comp, x) for x in X)
     assert ll == pytest.approx(direct, rel=1e-12)
 
 
@@ -644,38 +650,39 @@ def test_cholesky_reports_a_failed_factor_without_a_warning():
                                       np.linalg.cholesky(stack[:, :1]))
 
 
-# ---------------------------------------------------------- posterior_assign
+# ------------------------------------------------- posterior cluster per pitch
 
-def test_posterior_assign_dominant_component():
+def test_e_step_argmax_dominant_component():
     # anchor 10+ stddevs from the rival; verify with the dense formula
     a = make_component([0, 0, 0], stddev=(1, 1, 1), weight=0.5)
     b = make_component([20, 0, 0], stddev=(1, 1, 1), weight=0.5)
-    fit = FittedMixture(components=(a, b), converged=True, responsibilities=None, seed=0,
-                        ll_trace=(0.0,))
-    idx, post = posterior_assign(fit, [0, 0, 0])
-    assert idx == 0
+    resp, _ = e_step([a, b], np.zeros((1, 3)))
+    post = resp[0]
+    assert int(np.argmax(post)) == 0
     assert post[0] > 0.99
     dens = [math.exp(dense_mvn_logpdf([0, 0, 0], c.mean, c.covariance())) * c.weight
             for c in (a, b)]
     np.testing.assert_allclose(post, np.array(dens) / sum(dens), rtol=1e-10)
 
 
-def test_posterior_assign_k1():
+def test_classify_dataset_k1():
     fit = FittedMixture(components=(make_component([1, 2, 3]),), converged=True,
                         responsibilities=None, seed=0, ll_trace=(0.0,))
-    idx, post = posterior_assign(fit, [9, 9, 9])
-    assert idx == 0
-    assert post.tolist() == [1.0]
+    for X in ([[9, 9, 9]], [[9, 9, 9], [-9, 0, 9]]):
+        idx, _, pmax = classify_dataset(label_clusters(fit), X)
+        assert idx.tolist() == [0] * len(X)
+        assert pmax.tolist() == [1.0] * len(X)
 
 
-def test_posterior_assign_tie_breaks_to_lower_index():
+def test_classify_dataset_tie_breaks_to_lower_index():
     a = make_component([-3, 0, 0], weight=0.5)
     b = make_component([3, 0, 0], weight=0.5)
     fit = FittedMixture(components=(a, b), converged=True, responsibilities=None, seed=0,
                         ll_trace=(0.0,))
-    idx, post = posterior_assign(fit, [0, 0, 0])
-    assert idx == 0
-    assert post[0] == pytest.approx(0.5, abs=1e-15)
+    for rows in (1, 2):
+        idx, _, pmax = classify_dataset(label_clusters(fit), np.zeros((rows, 3)))
+        assert idx.tolist() == [0] * rows
+        assert pmax == pytest.approx(0.5, abs=1e-15)
 
 
 # --------------------------------------------------------------- invariants
@@ -705,15 +712,12 @@ def test_em_monotonic_and_invariants_on_random_fits(seed):
 def test_assignment_permutation_invariance():
     X, _, _ = three_separated_gaussians(seed=4, n_per=50)
     fit = fit_em(X, 3, EmConfig(seed=0, restarts=2))
-    x = X[17]
-    idx, post = posterior_assign(fit, x)
     perm = [2, 0, 1]
-    permuted = FittedMixture(
-        components=tuple(fit.components[j] for j in perm), converged=fit.converged,
-        responsibilities=None, seed=fit.seed, ll_trace=fit.ll_trace)
-    idx_p, post_p = posterior_assign(permuted, x)
-    np.testing.assert_allclose(post_p, post[perm], rtol=1e-12)
-    assert perm[idx_p] == idx
+    for x in (X[17:18], X[17:19]):
+        post, _ = e_step(fit.components, x)
+        post_p, _ = e_step([fit.components[j] for j in perm], x)
+        np.testing.assert_allclose(post_p, post[:, perm], rtol=1e-12)
+        np.testing.assert_array_equal(np.take(perm, post_p.argmax(axis=1)), post.argmax(axis=1))
 
 
 def test_scale_consistency():
