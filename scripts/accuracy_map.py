@@ -4,7 +4,8 @@ Each run of a cell (n, spread) draws ``archetype_pitcher(n, seed=100 + i,
 spread=spread)``, picks k in 1-9 with ``select_k`` under ``EmConfig(seed=i)``,
 names the clusters with ``label_clusters`` and labels every pitch with
 ``classify_dataset``. A run's accuracy is the share of pitches whose type is
-their generator archetype's. The grid prints each cell's median and minimum
+their generator archetype's. The plain-BIC winner is ``choose_best`` over the
+fits ``select_k`` scored. The grid prints each cell's median and minimum
 accuracy over runs i = 0 .. runs-1, for BIC-adj first and plain BIC after a
 slash where that differs, then each cell's selected k per run (BIC-adj):
 
@@ -18,9 +19,10 @@ import argparse
 import statistics
 import time
 
+from pitchmbc.errors import FitError
 from pitchmbc.labeling import classify_dataset, label_clusters
-from pitchmbc.mixture import EmConfig, fit_em
-from pitchmbc.selection import TIE_EPS, select_k
+from pitchmbc.mixture import EmConfig
+from pitchmbc.selection import choose_best, select_k
 from pitchmbc.synth import ARCHETYPE_TYPES, archetype_pitcher
 
 NS = (150, 400, 1200)
@@ -37,15 +39,10 @@ def run(n: int, spread: float, i: int) -> tuple[int, float, int, float]:
     cell (n, spread)."""
     data, comp, names = archetype_pitcher(n, seed=100 + i, spread=spread)
     X, truth = data.to_matrix(), [ARCHETYPE_TYPES[names[j]] for j in comp]
-    em = EmConfig(seed=i)
-    result = select_k(X, 1, 9, em=em)
-    # plain BIC over the same score table, with choose_best's tie rule
-    bic = result.scores[0]
-    for score in result.scores[1:]:
-        if score.bic < bic.bic - TIE_EPS:
-            bic = score
+    result = select_k(X, 1, 9, em=EmConfig(seed=i))
+    bic = result.fits[choose_best(result.fits, len(X), "bic", result.penalty_scale)[0]]
     adj_acc = accuracy(result.best, X, truth)
-    bic_acc = adj_acc if bic.k == result.best.k else accuracy(fit_em(X, bic.k, em), X, truth)
+    bic_acc = adj_acc if bic is result.best else accuracy(bic, X, truth)
     return result.best.k, adj_acc, bic.k, bic_acc
 
 
@@ -65,10 +62,13 @@ def main():
     parser.add_argument("--spread", type=float, nargs="+", default=SPREADS)
     parser.add_argument("--runs", type=int, default=10)
     args = parser.parse_args()
-    if args.runs < 1:
-        raise SystemExit("--runs must be >= 1")
+    if args.runs < 1 or min(args.n) < 1:
+        raise SystemExit("--runs and --n must be >= 1")
     start = time.process_time()
-    cells = grid(args.n, args.spread, args.runs)
+    try:
+        cells = grid(args.n, args.spread, args.runs)
+    except FitError as exc:
+        raise SystemExit(str(exc))
     seconds = time.process_time() - start
     print("| spread | " + " | ".join(f"n={n}" for n in args.n) + " |")
     print("| --- " * (len(args.n) + 1) + "|")

@@ -7,10 +7,10 @@ those of :class:`FittedMixture` minus ``responsibilities`` (recomputable from
 the components and the data), each component those of
 :class:`MixtureComponent` and each score row those of :class:`CriterionScore`.
 The fit's ``k``, ``log_likelihood``, ``iterations`` and ``ll_decrease_max`` and
-each score row's ``bic_adj`` are derived copies. ``load_archive`` checks each
-copy, and that every bool, int and float field of the fit and of each score
-row, ``anchor_index``, ``penalty_scale``, each ``ll_trace`` entry and each
-``selection_failures`` k holds a JSON value of that type; none is coerced.
+each score row's ``bic_adj`` are derived copies. ``load_archive`` reads the top
+level, the fit and each score row alike: just their fields, each derived copy
+checked, and each bool, int, float and str field, ``ll_trace`` entry and
+``selection_failures`` k a JSON value of that type (:func:`is_json_type`).
 Floats go through Python's shortest round-trip repr, which json preserves
 exactly, making load(save(m)) lossless.
 """
@@ -85,12 +85,12 @@ def save_archive(archive: ModelArchive, path) -> None:
     Path(path).write_text(archive_to_json(archive), encoding="utf-8")
 
 
-_JSON_SCALARS = {"bool": (bool,), "int": (int,), "float": (int, float)}
+_JSON_SCALARS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _is_json(declared: str, value) -> bool:
-    """Whether ``value`` is a JSON value of the ``declared`` type, when that is
-    bool, int or float; a JSON bool is a Python int, but fits a bool only."""
+def is_json_type(declared: str, value) -> bool:
+    """Whether ``value`` is a JSON value of the ``declared`` type name, if that is bool,
+    int, float (an int too) or str, else True; a JSON bool fits a bool only."""
     kinds = _JSON_SCALARS.get(declared)
     return kinds is None or (isinstance(value, kinds)
                              and isinstance(value, bool) == (declared == "bool"))
@@ -98,16 +98,16 @@ def _is_json(declared: str, value) -> bool:
 
 def _json_value(declared: str, value, what: str):
     """``value``, if it is a JSON value of the ``declared`` type (see
-    :func:`_is_json`); ValueError naming it as ``what`` if not."""
-    if not _is_json(declared, value):
+    :func:`is_json_type`); ValueError naming it as ``what`` if not."""
+    if not is_json_type(declared, value):
         raise ValueError(f"{what} is {value!r}, not a JSON {declared}")
     return value
 
 
 def _record_from_dict(cls, doc: dict, **given):
     """A ``cls`` built from ``given`` and ``doc``'s other init fields; ValueError unless
-    ``doc`` holds just the fields of ``cls``, each bool, int and float field a JSON
-    value of that type, and the value of each derived one."""
+    ``doc`` holds just the fields of ``cls``, each bool, int, float and str field a
+    JSON value of that type, and the value of each derived one."""
     if set(doc) | set(given) != {f.name for f in fields(cls)}:
         raise ValueError(f"{cls.__name__} keys {sorted(doc)} are not its fields")
     for f in fields(cls):
@@ -141,18 +141,14 @@ def load_archive(path) -> ModelArchive:
     if version != FORMAT_VERSION:
         raise ArchiveVersionMismatch(version, FORMAT_VERSION)
     try:
-        archive = ModelArchive(
-            pitcher_id=doc["pitcher_id"],
+        archive = _record_from_dict(
+            ModelArchive, doc,
             fit=_fit_from_dict(doc["fit"]),
             labels=tuple(PitchType(v) for v in doc["labels"]),
-            anchor_index=_json_value("int", doc["anchor_index"], "anchor_index"),
             rule_trace=tuple(tuple(t) for t in doc["rule_trace"]),
             score_table=tuple(_record_from_dict(CriterionScore, s) for s in doc["score_table"]),
             selection_failures=tuple((_json_value("int", k, "selection_failures k"), reason)
                                      for k, reason in doc["selection_failures"]),
-            criterion=doc["criterion"],
-            penalty_scale=_json_value("float", doc["penalty_scale"], "penalty_scale"),
-            config=doc.get("config", {}),
         )
         # what classify and plot index by, checked here so a bad archive
         # is an ArchiveError rather than a crash further on

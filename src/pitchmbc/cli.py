@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .archive import archive_from_results, load_archive, save_archive
+from .archive import archive_from_results, is_json_type, load_archive, save_archive
 from .errors import ArchiveError, FitError, IngestError
 from .ingest import (OPTIONAL_FIELDS, REQUIRED_FIELDS, ColumnSchema, csv_rows, filter_pitches,
                      parse_pitch_csv)
@@ -145,14 +145,6 @@ def _checked(where: str, values: dict, known) -> dict:
     return values
 
 
-def _has_type(value, kind: type) -> bool:
-    """An int field takes an int, a float field an int or a float, a str
-    field a string; a bool is neither number."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _penalty_scale(value, where: str) -> float | None:
     """None for 'auto' (= ln n), else the number ``value`` is or spells."""
     if isinstance(value, str):
@@ -162,7 +154,7 @@ def _penalty_scale(value, where: str) -> float | None:
             return float(value)
         except ValueError:
             pass
-    elif _has_type(value, float):
+    elif is_json_type("float", value):
         return float(value)
     raise ValueError(f"{where}: expected 'auto' or a number, got {value!r}")
 
@@ -172,9 +164,9 @@ def _typed(f, value, where: str):
     the type of the field's default."""
     if f.name == "penalty_scale":
         return _penalty_scale(value, where)
-    kind = type(f.default)
-    if not _has_type(value, kind):
-        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+    kind = type(f.default).__name__
+    if not is_json_type(kind, value):
+        raise ValueError(f"{where}: expected {kind}, got {value!r}")
     return value
 
 

@@ -497,7 +497,8 @@ def fit_em(data, k: int, config: EmConfig = EmConfig()) -> FittedMixture:
         return FittedMixture(
             components=_build_components(weights, means + shift, covs),
             converged=run.converged,
-            responsibilities=run.respT.T,
+            # a copy, so the fit does not keep its restart group's arrays alive
+            responsibilities=run.respT.copy().T,
             seed=config.seed,
             ll_trace=tuple(run.trace),
         )

@@ -34,7 +34,6 @@ BASE_COLORS: dict[PitchType, str] = {
     PitchType.SLIDER: "brown",
 }
 CURVEBALL_COLORS = ("black", "purple")
-INTENTIONAL_COLOR = "yellow"  # palette completeness; intentional balls are filtered upstream
 
 PANELS = (
     (0, 1, "start speed (mph)", "back spin"),

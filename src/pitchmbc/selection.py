@@ -66,11 +66,18 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    best: FittedMixture
+    """Every fit ``select_k`` scored, in ``scores`` order; ``best`` is ``fits[best_index]``."""
+
+    fits: tuple[FittedMixture, ...]
+    best_index: int
     scores: tuple[CriterionScore, ...]
     failures: tuple[tuple[int, str], ...]
     criterion: str
     penalty_scale: float
+
+    @property
+    def best(self) -> FittedMixture:
+        return self.fits[self.best_index]
 
 
 def bic(fit: FittedMixture, n: int) -> float:
@@ -117,7 +124,7 @@ def choose_best(fits: Sequence[FittedMixture], n: int, criterion: str,
 
 def select_k(data, k_min: int, k_max: int, config: SelectionConfig = SelectionConfig(),
              em: EmConfig = EmConfig()) -> SelectionResult:
-    """Fit every k in [k_min, k_max] with ``em`` and keep the criterion minimizer.
+    """Fit every k in [k_min, k_max] with ``em``; the criterion minimizer is ``best``.
 
     k values whose fits fail entirely are recorded on ``failures`` and
     skipped. Raises :class:`NoViableK` when nothing fits and
@@ -144,7 +151,8 @@ def select_k(data, k_min: int, k_max: int, config: SelectionConfig = SelectionCo
 
     best_idx, scores = choose_best(fits, n, config.criterion, penalty_scale)
     return SelectionResult(
-        best=fits[best_idx],
+        fits=tuple(fits),
+        best_index=best_idx,
         scores=scores,
         failures=tuple(failures),
         criterion=config.criterion,

@@ -166,9 +166,11 @@ def test_classify_non_object_archive_is_archive_error(tmp_path, pitcher_csv, cap
     lambda doc: doc.update(anchor_index=99),
     lambda doc: doc["fit"].update(bogus=1),
     lambda doc: doc["score_table"][0].pop("bic_adj"),
+    lambda doc: doc.update(bogus=1),
+    lambda doc: doc.pop("config"),
 ], ids=["config-list", "labels-list", "labels-unknown-key", "labels-string-threshold",
         "labels-negative-threshold", "one-label", "k-past-components", "anchor-past-k",
-        "fit-unknown-key", "score-without-bic-adj"])
+        "fit-unknown-key", "score-without-bic-adj", "top-unknown-key", "config-missing"])
 def test_classify_inconsistent_archive_is_archive_error(tmp_path, fitted_model, pitcher_csv,
                                                         capsys, doctor):
     doc = json.loads(fitted_model.read_text())
@@ -236,11 +238,14 @@ def test_archive_field_of_the_wrong_json_type_is_archive_error(tmp_path, fitted_
     ("selection_failures", lambda failures: [["2", "every restart degenerate"]]),
     ("anchor_index", lambda v: v + 0.0),
     ("penalty_scale", lambda v: True),
+    ("pitcher_id", lambda v: 7),
+    ("criterion", lambda v: ["x"]),
 ], ids=["anchor-string", "penalty-string", "ll-trace-string", "failure-k-string",
-        "anchor-float", "penalty-bool"])
+        "anchor-float", "penalty-bool", "pitcher-id-number", "criterion-list"])
 def test_archive_value_outside_the_records_of_the_wrong_json_type_is_archive_error(
         tmp_path, fitted_model, pitcher_csv, capsys, key, doctor):
-    """These were coerced by int() and float(), so a re-save changed the bytes."""
+    """These were coerced by int() and float(), or taken as they were, so a
+    re-save changed the bytes or kept a value of the wrong type."""
     doc = json.loads(fitted_model.read_text())
     if key == "ll_trace":
         doc["fit"][key] = doctor(doc["fit"][key])
@@ -248,7 +253,7 @@ def test_archive_value_outside_the_records_of_the_wrong_json_type_is_archive_err
         doc[key] = doctor(doc[key])
     model = tmp_path / "doctored.json"
     model.write_text(json.dumps(doc))
-    with pytest.raises(ArchiveError, match="not a JSON (int|float)"):
+    with pytest.raises(ArchiveError, match="not a JSON (int|float|str)"):
         load_archive(model)
     code = main(["classify", "--model", str(model), "--input", str(pitcher_csv),
                  "--out", str(tmp_path / "x.csv")])

@@ -184,7 +184,7 @@ def _csv_writers():
     types = [PitchType.FOUR_SEAM, PitchType.CURVEBALL]
     score = CriterionScore(k=1, log_likelihood=-1.5, bic=3.5, correlation_penalty=0.25,
                            penalty_scale=0.7, converged=True)
-    result = SelectionResult(best=None, scores=(score,),
+    result = SelectionResult(fits=(), best_index=0, scores=(score,),
                              failures=((2, "degenerate, twice"),), criterion="bicadj",
                              penalty_scale=0.7)
     report = StabilityReport("josé", 2, 0.8, 0, ((1.0, 0.5),), ((1, "empty"),))

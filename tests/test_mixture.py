@@ -526,6 +526,16 @@ def test_fit_responsibilities_survive_a_later_fit_of_the_same_shape():
     assert not any(np.shares_memory(a.responsibilities, arr) for arr in returned)
 
 
+def test_fit_owns_responsibilities_of_a_winner_from_the_short_phase():
+    # k=1 converges within the short phase, so the winner's responsibilities
+    # were a slice of its restart group's stacked array
+    X, _ = gaussian_blobs([[0, 0, 0]], [np.eye(3)], [100], seed=1)
+    fit = fit_em(X, 1, EmConfig(seed=1))
+    assert fit.converged and fit.iterations < SHORT_ITER
+    resp = fit.responsibilities
+    assert resp.flags.f_contiguous and resp.base.nbytes == resp.nbytes
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="glibc returns large freed blocks to the kernel")
 def test_select_k_scan_does_not_fault_in_fresh_temporaries_every_step():

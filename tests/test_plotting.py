@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pitchmbc.labeling import PitchType
-from pitchmbc.plotting import (BASE_COLORS, CURVEBALL_COLORS, INTENTIONAL_COLOR,
-                               cluster_colors, projection_svg, write_plot_csv,
-                               write_projection_svg)
+from pitchmbc.plotting import (BASE_COLORS, CURVEBALL_COLORS, cluster_colors,
+                               projection_svg, write_plot_csv, write_projection_svg)
 
 
 def test_palette_matches_convention():
@@ -18,7 +17,6 @@ def test_palette_matches_convention():
     assert BASE_COLORS[PitchType.KNUCKLEBALL] == "orange"
     assert BASE_COLORS[PitchType.SLIDER] == "brown"
     assert CURVEBALL_COLORS == ("black", "purple")
-    assert INTENTIONAL_COLOR == "yellow"
 
 
 def test_cluster_colors_four_seam_and_curveball():

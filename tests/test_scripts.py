@@ -11,7 +11,8 @@ import pytest
 
 from pitchmbc.cli import main
 from pitchmbc.ingest import write_pitch_csv
-from pitchmbc.synth import archetype_pitcher
+from pitchmbc.mixture import EmConfig, fit_em
+from pitchmbc.synth import ARCHETYPE_TYPES, archetype_pitcher
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -62,6 +63,16 @@ def test_penalty_sweep(monkeypatch, capsys, dataset):
     assert "selected k" in out and "(= ln n)" in out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--kmax", "0"], re.escape("need 1 <= k_min <= k_max, got [1, 0]")),
+    (["--dataset", "pitcher", "--n", "3"], "n=3 cannot support k_max=6"),
+    (["--n", "0"], "--n must be >= 1"),
+], ids=["kmax-0", "pitcher-n-3", "n-0"])
+def test_penalty_sweep_rejects_bad_arguments(monkeypatch, args, message):
+    with pytest.raises(SystemExit, match=message):
+        run_script(monkeypatch, "penalty_sweep.py", *args)
+
+
 def test_reference_optima_writes_then_counts(monkeypatch, tmp_path, capsys):
     out = tmp_path / "optima.json"
     run_script(monkeypatch, "reference_optima.py", "--cases", "2", "--runs", "2",
@@ -86,6 +97,33 @@ def test_accuracy_map_one_cell(monkeypatch, capsys):
     assert lines[:4] == ["| spread | n=150 |", "| --- | --- |", "| 1.0 | 1.000, 1.000 |",
                          "selected k, n=150 spread 1.0: 5 5"]
     assert lines[4].startswith("CPU ")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n", "30", "--runs", "1"], "n=30 cannot support k_max=9"),
+    (["--n", "0", "--runs", "1"], "--runs and --n must be >= 1"),
+], ids=["n-30", "n-0"])
+def test_accuracy_map_rejects_bad_arguments(monkeypatch, args, message):
+    with pytest.raises(SystemExit, match=message):
+        run_script(monkeypatch, "accuracy_map.py", *args)
+
+
+def test_accuracy_map_takes_the_bic_winner_from_the_scored_fits():
+    """Where BIC and BIC-adj pick different k, the plain-BIC accuracy is that
+    of a fresh fit at the BIC k, as when the script refitted it."""
+    acc = runpy.run_path(str(SCRIPTS / "accuracy_map.py"), run_name="accuracy")
+    disagree = 0
+    for i in range(10):
+        adj_k, adj_acc, bic_k, bic_acc = acc["run"](150, 1.6, i)
+        if bic_k == adj_k:
+            assert bic_acc == adj_acc
+            continue
+        disagree += 1
+        data, comp, names = archetype_pitcher(150, seed=100 + i, spread=1.6)
+        X = data.to_matrix()
+        truth = [ARCHETYPE_TYPES[names[j]] for j in comp]
+        assert bic_acc == acc["accuracy"](fit_em(X, bic_k, EmConfig(seed=i)), X, truth)
+    assert disagree > 0
 
 
 def _ab_timing(monkeypatch, tree_b, data, rounds):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_component, make_fit
+from helpers import assert_fits_identical, make_component, make_fit
 from pitchmbc.errors import NoViableK, TooFewPoints
-from pitchmbc.mixture import EmConfig
+from pitchmbc.mixture import EmConfig, fit_em
 from pitchmbc.selection import (CriterionScore, SelectionConfig, bic, bic_adj, choose_best,
                                 select_k, write_score_csv)
 from pitchmbc.synth import gaussian_blobs
@@ -155,6 +155,16 @@ def test_select_k_finds_three_clusters_and_neighbors_score_worse():
     assert by_k[3].bic_adj < by_k[4].bic_adj
     assert res.penalty_scale == pytest.approx(math.log(900))
     assert res.failures == ()
+
+
+def test_select_k_keeps_each_fit_it_scored():
+    X, _ = three_blob_data(seed=3, n_per=40)
+    em = EmConfig(seed=3, restarts=2, max_iter=200)
+    res = select_k(X, 1, 5, em=em)
+    assert [f.k for f in res.fits] == [s.k for s in res.scores] == [1, 2, 3, 4, 5]
+    for fit in res.fits:
+        assert_fits_identical(fit, fit_em(X, fit.k, em))
+    assert res.best is res.fits[res.best_index]
 
 
 def test_select_k_single_k_trivial():
